@@ -52,7 +52,7 @@ WORKLOADS = {
     },
     "bsat-complete": {
         "service": {"strategies": ("bsat",), "policy": "complete"},
-        "take": {"sim1423": 40},
+        "take": {"sim1423": 48},
         "copies": 1,
         "stream": False,
     },
