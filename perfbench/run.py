@@ -11,12 +11,12 @@ The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the line before it records
 the machine.  A failed correctness check exits 1.
 
-``--seed`` fixes the run's inputs: the order in which the pinned fleet
-(``perfbench/fleet.py``) is served and, for ``stream-journal``, the
-shuffled duplicate stream.  ``--seconds`` is the measuring budget: each
-workload's fleet is sized to fit it on a 2-core machine, and a
-closed-loop run stops handing over devices once three budgets are
-spent (reported as ``truncated``).
+Every run of a workload serves the same pinned devices
+(``perfbench/fleet.py``).  The closed-loop workloads serve them in pool
+order; ``--seed`` shuffles the ``stream-journal`` duplicate stream.
+``--seconds`` is accepted for the benchmark interface but does not
+change the work: each fleet has a fixed size, which takes 10-35 s on a
+2-core machine.
 Workloads, metrics and the layer each per-layer metric should move are
 described in ``perfbench/README.md``.
 """
@@ -37,47 +37,52 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
+from fleet import load_pool, pin_hash_seed, solutions_digest
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".bench_out"
 
 #: Workload -> service options, devices taken per design from the pool
-#: (in pool order), copies of each device in the stream, serving mode.
+#: (in pool order), copies of each device in the stream, serving mode,
+#: and whether the runner pins itself to one CPU.  Single-leg workloads
+#: do their work in one thread at a time, so one CPU serves them as
+#: fast as two, and pinned they wait on neither a second CPU's
+#: hypervisor steal nor cross-CPU thread wake-ups: unpinned, the
+#: stream's wall time exceeded its CPU time by up to 6 s in slow runs.
+#: The race stays unpinned, as its legs' interleaving is what it
+#: measures.
 WORKLOADS = {
     "race-closed": {
         "service": {},
         "take": {"sim1423": 45, "sim6669": 15},
         "copies": 1,
         "stream": False,
+        "one_cpu": False,
     },
     "bsat-complete": {
         "service": {"strategies": ("bsat",), "policy": "complete"},
         "take": {"sim1423": 48},
         "copies": 1,
         "stream": False,
+        "one_cpu": True,
     },
     "greedy-first": {
         "service": {"strategies": ("greedy-stochastic",)},
-        "take": {"sim1423": 90, "sim6669": 30},
+        "take": {"sim1423": 150, "sim6669": 50},
         "copies": 1,
         "stream": False,
+        "one_cpu": True,
     },
     "stream-journal": {
-        # The whole burst is admitted at once, so a device's latency is
-        # its time to result within the burst.  Under the default queue
-        # bound of 2 a memo hit's latency is a few GIL hand-offs and
-        # journal-lock waits, and its median spread 64% across 5 runs.
         # One shard: with two, the window took 10-18 s over 10 runs at
         # a steady 11-13 s of CPU, as the second core came and went on
         # a shared host.
-        "service": {
-            "strategies": ("greedy-stochastic",),
-            "n_shards": 1,
-            "queue_size": 1024,
-        },
-        "take": {"sim1423": 75, "sim6669": 25},
+        "service": {"strategies": ("greedy-stochastic",), "n_shards": 1},
+        "take": {"sim1423": 112, "sim6669": 38},
         "copies": 4,
         "stream": True,
+        "one_cpu": True,
     },
 }
 
@@ -90,18 +95,7 @@ UNMEASURED = {
 }
 
 #: Cold set-ups per run; setup_s is their median.
-SETUP_PROBES = 3
-
-#: A closed-loop run stops handing over devices after this many times
-#: ``--seconds``: fleets are sized to fit ``--seconds``, and cutting a
-#: run short would change its device mix, so this only bounds a run on
-#: a much slower machine.
-SAFETY_FACTOR = 3
-
-#: String hashing is pinned: set iteration order steers the greedy and
-#: enumeration searches, and under per-process hash randomisation the
-#: same stream's CPU time varied by 20% between runs.
-HASH_SEED = "0"
+SETUP_PROBES = 5
 
 
 def import_repro():
@@ -124,13 +118,35 @@ def calibrate() -> float:
     return time.perf_counter() - t0
 
 
-def machine_record() -> dict:
+def host_counters() -> dict:
+    """Host-wide stall counters, in seconds: CPU time stolen by the
+    hypervisor, I/O wait, and the CPU and I/O pressure-stall totals
+    (absent where the kernel does not report them)."""
+    counters = {}
+    try:
+        fields = Path("/proc/stat").read_text().split("\n", 1)[0].split()
+        hz = os.sysconf("SC_CLK_TCK")
+        counters["iowait_s"] = int(fields[5]) / hz
+        counters["steal_s"] = int(fields[8]) / hz
+    except (OSError, IndexError, ValueError):
+        pass
+    for kind in ("cpu", "io"):
+        try:
+            some = Path(f"/proc/pressure/{kind}").read_text().split("\n")[0]
+            counters[f"{kind}_stall_s"] = int(some.rsplit("=", 1)[1]) / 1e6
+        except (OSError, IndexError, ValueError):
+            pass
+    return counters
+
+
+def machine_record(cores: int) -> dict:
     import numpy
 
     from repro.sat.backends import available_backends
 
     return {
-        "cores": len(os.sched_getaffinity(0)),
+        "cores": cores,
+        "runner_cpus": sorted(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "numba": importlib.util.find_spec("numba") is not None,
@@ -143,7 +159,7 @@ def machine_record() -> dict:
 # inputs
 # ----------------------------------------------------------------------
 def fleet_lines(spec: dict, pool_lines: list[str], seed: int) -> list[str]:
-    """The intake lines one run serves, in the seed's order."""
+    """The intake lines one run serves, in serving order."""
     wanted = dict(spec["take"])
     picked = []
     for line in pool_lines:
@@ -160,7 +176,8 @@ def fleet_lines(spec: dict, pool_lines: list[str], seed: int) -> list[str]:
             if spec["copies"] > 1:
                 wire["id"] = f"{wire['id'].split('~')[0]}~{copy}"
             lines.append(json.dumps(wire, sort_keys=True))
-    random.Random(seed).shuffle(lines)
+    if spec["stream"]:
+        random.Random(seed).shuffle(lines)
     return lines
 
 
@@ -188,7 +205,7 @@ def setup(spec: dict, designs, journal_path: Path | None = None):
     return cache, service
 
 
-def serve(spec: dict, lines: list[str], seconds: float, tracer=None,
+def serve(spec: dict, lines: list[str], tracer=None,
           journal_path: Path | None = None) -> dict:
     """Set up, then serve ``lines`` inside the timed window."""
     from repro.serve import (
@@ -199,7 +216,7 @@ def serve(spec: dict, lines: list[str], seconds: float, tracer=None,
 
     designs = sorted(spec["take"])
     cache, service = setup(spec, designs, journal_path)
-    run = {"truncated": False, "resumed": None}
+    run = {"resumed": None}
 
     def span(name):
         return tracer.span(name) if tracer is not None else nullcontext()
@@ -213,18 +230,18 @@ def serve(spec: dict, lines: list[str], seconds: float, tracer=None,
         devices = list(read_device_stream(lines))
         register(devices)
         results, latencies = [], []
+        host0 = host_counters()
         cpu0 = time.process_time()
         t0 = time.perf_counter()
         for device in devices:
-            if time.perf_counter() - t0 > SAFETY_FACTOR * seconds:
-                run["truncated"] = True
-                break
             start = time.perf_counter()
             results.append(service.run([device])[0])
             latencies.append(time.perf_counter() - start)
         wall = time.perf_counter() - t0
         cpu = time.process_time() - cpu0
+        host1 = host_counters()
     else:
+        host0 = host_counters()
         cpu0 = time.process_time()
         t0 = time.perf_counter()
         with span("intake.parse"):
@@ -241,11 +258,19 @@ def serve(spec: dict, lines: list[str], seconds: float, tracer=None,
             run["resumed"] = resumer.run(devices)
         wall = time.perf_counter() - t0
         cpu = time.process_time() - cpu0
-        latencies = [r.latency for r in results]
+        host1 = host_counters()
+        # A repeat is a sub-millisecond memo hit whose latency is GIL
+        # hand-offs, so latency is taken over each signature's first
+        # occurrence: admission to result of a diagnosis.
+        firsts = {}
+        for r in results:
+            firsts.setdefault(base_id(r.device_id), r.latency)
+        latencies = list(firsts.values())
         journal_path.unlink()
     run.update(
-        devices=devices[: len(results)], results=results,
+        devices=devices, results=results,
         latencies=latencies, wall=wall, cpu=cpu, stats=service.stats(),
+        host={k: round(host1[k] - host0[k], 3) for k in host0},
     )
     return run
 
@@ -257,8 +282,6 @@ def check(workload: str, run: dict, refs: dict) -> list[str]:
     """Every failed check, as a message (empty: the run is correct)."""
     from repro.circuits.library import get_circuit
     from repro.diagnosis.validity import is_valid_correction
-
-    from fleet import solutions_digest
 
     problems: list[str] = []
     circuits: dict[str, object] = {}
@@ -371,10 +394,11 @@ def main(argv=None) -> int:
     parser.add_argument("--setup-probe", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
-        env = dict(os.environ, PYTHONHASHSEED=HASH_SEED)
-        os.execve(sys.executable, [sys.executable, *sys.argv], env)
+    pin_hash_seed()
     spec = WORKLOADS[args.workload]
+    cores = os.sched_getaffinity(0)
+    if spec["one_cpu"]:
+        os.sched_setaffinity(0, {max(cores)})
     try:
         import_repro()
     except ImportError as exc:
@@ -386,8 +410,6 @@ def main(argv=None) -> int:
         print("ready", flush=True)
         return 0
 
-    from fleet import load_pool
-
     with open(ROOT / "BENCHMARK.json") as fh:
         bench = json.load(fh)
     pool_lines, refs = load_pool(args.pool_seed)
@@ -397,7 +419,7 @@ def main(argv=None) -> int:
         OUT / f"{args.workload}-{os.getpid()}.wal" if spec["stream"] else None
     )
     record = {"workload": args.workload, "seed": args.seed,
-              "machine": machine_record(), "calibration_s": [calibrate()]}
+              "machine": machine_record(len(cores)), "calibration_s": [calibrate()]}
     problems: list[str] = []
     if args.trace:
         from spans import Tracer, layer_metrics
@@ -405,15 +427,14 @@ def main(argv=None) -> int:
         # The first pass of a process runs cold (a cold untraced pass
         # made the ratio read 0.93), so a tenth of the inputs warms the
         # process up before the untraced baseline.
-        serve(spec, lines[: max(1, len(lines) // 10)], args.seconds,
+        serve(spec, lines[: max(1, len(lines) // 10)],
               journal_path=journal_path)
-        plain = serve(spec, lines, args.seconds, journal_path=journal_path)
+        plain = serve(spec, lines, journal_path=journal_path)
         problems += check(args.workload, plain, refs)
         tracer = Tracer()
         tracer.install()
         try:
-            run = serve(spec, lines, args.seconds, tracer=tracer,
-                        journal_path=journal_path)
+            run = serve(spec, lines, tracer=tracer, journal_path=journal_path)
         finally:
             tracer.uninstall()
         problems += check(args.workload, run, refs)
@@ -425,13 +446,14 @@ def main(argv=None) -> int:
         declared = bench["per_layer"]
     else:
         setup_s = cold_setup_seconds(args.workload)
-        run = serve(spec, lines, args.seconds, journal_path=journal_path)
+        run = serve(spec, lines, journal_path=journal_path)
         problems += check(args.workload, run, refs)
         metrics = end_to_end(run, refs, setup_s)
         declared = bench["end_to_end"]
     record["calibration_s"].append(calibrate())
     record.update(devices=len(run["results"]), wall_s=run["wall"],
-                  truncated=run["truncated"], problems=problems[:20])
+                  cpu_s=run["cpu"], host_stalls_s=run["host"],
+                  problems=problems[:20])
     print(json.dumps(record), flush=True)
     for problem in problems:
         print(problem, file=sys.stderr)
