@@ -1,6 +1,6 @@
 """Steadiness evidence: repeated benchmark runs, back to back.
 
-    python3 perfbench/repeat.py --runs 10 --seconds 35
+    python3 perfbench/repeat.py --runs 10
     python3 perfbench/repeat.py --runs 5 --workloads race-closed --first-seed 100
     python3 perfbench/repeat.py --compare .bench_out/repeat-A.json .bench_out/repeat-B.json
 
@@ -107,8 +107,9 @@ def main(argv=None) -> int:
             result = run_once(workload, args.first_seed + i, args.seconds)
             runs[workload].append(result)
             record = result["record"]
+            walls = ", ".join(f"{w:.2f}" for w in record["wall_s"])
             print(f"# {workload} seed {args.first_seed + i}: "
-                  f"wall {record['wall_s']:.2f} s, calibration "
+                  f"pass walls {walls} s, calibration "
                   f"{record['calibration_s']}", flush=True)
     out = ROOT / ".bench_out"
     out.mkdir(exist_ok=True)

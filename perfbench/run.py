@@ -1,22 +1,23 @@
 """Serving benchmark: one named workload, every metric, checked answers.
 
-    python3 perfbench/run.py --workload race-closed --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload race-closed --seed 1 --seconds 45 --trace 0
 
 Drives the library API of ``repro.serve`` from one process with one
-client.  ``--trace 0`` measures the end-to-end metrics untraced;
-``--trace 1`` runs the workload once untraced, after a short warm-up,
-and once under the span recorder (``perfbench/spans.py``), and reports
-the per-layer metrics.
+client.  ``--trace 0`` serves the workload's timed passes (after an
+untimed warm-up pass where there are several) and reports the
+end-to-end metrics over them; ``--trace 1`` runs the workload once untraced,
+after a short warm-up, and once under the span recorder
+(``perfbench/spans.py``), and reports the per-layer metrics.
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the line before it records
 the machine.  A failed correctness check exits 1.
 
 Every run of a workload serves the same pinned devices
 (``perfbench/fleet.py``).  The closed-loop workloads serve them in pool
-order; ``--seed`` shuffles the ``stream-journal`` duplicate stream.
+order; ``--seed`` places the repeats in the ``stream-journal`` stream.
 ``--seconds`` is accepted for the benchmark interface but does not
-change the work: each fleet has a fixed size, which takes 10-35 s on a
-2-core machine.
+change the work: each fleet has a fixed size, and a run takes about
+40 s on a 2-core machine.
 Workloads, metrics and the layer each per-layer metric should move are
 described in ``perfbench/README.md``.
 """
@@ -45,44 +46,37 @@ OUT = ROOT / ".bench_out"
 
 #: Workload -> service options, devices taken per design from the pool
 #: (in pool order), copies of each device in the stream, serving mode,
-#: and whether the runner pins itself to one CPU.  Single-leg workloads
-#: do their work in one thread at a time, so one CPU serves them as
-#: fast as two, and pinned they wait on neither a second CPU's
-#: hypervisor steal nor cross-CPU thread wake-ups: unpinned, the
-#: stream's wall time exceeded its CPU time by up to 6 s in slow runs.
-#: The race stays unpinned, as its legs' interleaving is what it
-#: measures.
+#: and timed passes per untraced run.  A workload with several passes
+#: first serves its fleet once untimed, so lazily built cone templates
+#: are in place.  The race serves one pass of many devices instead: a
+#: device's race latency is bimodal, and with 21 devices over three
+#: passes its median latency spread 26% and 41% over two 10-run sets,
+#: against 14-26% over four sets with 60 devices in one pass.  The
+#: runner is not pinned to a CPU (see perfbench/README.md).
 WORKLOADS = {
     "race-closed": {
         "service": {},
         "take": {"sim1423": 45, "sim6669": 15},
         "copies": 1,
         "stream": False,
-        "one_cpu": False,
+        "passes": 1,
     },
     "bsat-complete": {
         "service": {"strategies": ("bsat",), "policy": "complete"},
-        "take": {"sim1423": 48},
+        "take": {"sim1423": 16},
         "copies": 1,
         "stream": False,
-        "one_cpu": True,
-    },
-    "greedy-first": {
-        "service": {"strategies": ("greedy-stochastic",)},
-        "take": {"sim1423": 150, "sim6669": 50},
-        "copies": 1,
-        "stream": False,
-        "one_cpu": True,
+        "passes": 3,
     },
     "stream-journal": {
         # One shard: with two, the window took 10-18 s over 10 runs at
         # a steady 11-13 s of CPU, as the second core came and went on
         # a shared host.
         "service": {"strategies": ("greedy-stochastic",), "n_shards": 1},
-        "take": {"sim1423": 112, "sim6669": 38},
+        "take": {"sim1423": 56, "sim6669": 19},
         "copies": 4,
         "stream": True,
-        "one_cpu": True,
+        "passes": 3,
     },
 }
 
@@ -169,15 +163,27 @@ def fleet_lines(spec: dict, pool_lines: list[str], seed: int) -> list[str]:
             picked.append(line)
     if any(wanted.values()):
         raise ValueError(f"pool too small for {spec['take']}")
-    lines = []
+    lines, by_id = [], {}
     for line in picked:
         wire = json.loads(line)
         for copy in range(spec["copies"]):
             if spec["copies"] > 1:
                 wire["id"] = f"{wire['id'].split('~')[0]}~{copy}"
             lines.append(json.dumps(wire, sort_keys=True))
+            by_id[wire["id"]] = lines[-1]
     if spec["stream"]:
+        # The seed interleaves the repeats; the first occurrences keep
+        # pool order, so the diagnoses queued ahead of each one (and
+        # with them its latency) do not change with the seed.
         random.Random(seed).shuffle(lines)
+        order = [json.loads(x)["id"] for x in picked]
+        rank: dict[str, str] = {}
+        for i, line in enumerate(lines):
+            wire = json.loads(line)
+            base, copy = wire["id"].split("~")
+            if base not in rank:
+                rank[base] = order[len(rank)]
+            lines[i] = by_id[f"{rank[base]}~{copy}"]
     return lines
 
 
@@ -190,33 +196,48 @@ def base_id(device_id: str) -> str:
 # ----------------------------------------------------------------------
 def setup(spec: dict, designs, journal_path: Path | None = None):
     """Design artifacts for every fleet design plus the service."""
-    from repro.serve import DesignCache, DiagnosisService, ResultJournal
+    from repro.serve import DesignCache
 
     cache = DesignCache()
     for design in designs:
         cache.get(design)
+    return cache, make_service(spec, cache, journal_path)
+
+
+def make_service(spec: dict, cache, journal_path: Path | None = None):
+    """A service over ``cache``, journaling to a fresh ``journal_path``."""
+    from repro.serve import DiagnosisService, ResultJournal
+
     journal = None
     if journal_path is not None:
         journal_path.unlink(missing_ok=True)
         journal = ResultJournal(journal_path)
-    service = DiagnosisService(
+    return DiagnosisService(
         design_cache=cache, journal=journal, **spec["service"]
     )
-    return cache, service
 
 
-def serve(spec: dict, lines: list[str], tracer=None,
-          journal_path: Path | None = None) -> dict:
-    """Set up, then serve ``lines`` inside the timed window."""
-    from repro.serve import (
-        DiagnosisService,
-        read_device_stream,
-        read_journal,
-    )
+def forget_answers(cache, designs) -> None:
+    """Empty every design's signature memo, so a pass diagnoses afresh."""
+    from repro.serve.design import SignatureMemo
+
+    for design in designs:
+        cache.get(design).result_memo = SignatureMemo(cache.memo_max_entries)
+
+
+def serve(spec: dict, lines: list[str], passes: int = 1, warm_up: bool = False,
+          tracer=None, journal_path: Path | None = None) -> dict:
+    """Set up, then serve ``lines`` ``passes`` times, each pass in its own
+    timed window, after an untimed ``warm_up`` pass.
+
+    Every pass gets a fresh service and empty signature memos over the
+    one set-up ``DesignCache``, so passes repeat the same diagnoses; the
+    warm-up pass builds the cone templates the cache fills lazily.
+    """
+    from repro.serve import read_device_stream
 
     designs = sorted(spec["take"])
     cache, service = setup(spec, designs, journal_path)
-    run = {"resumed": None}
 
     def span(name):
         return tracer.span(name) if tracer is not None else nullcontext()
@@ -226,53 +247,82 @@ def serve(spec: dict, lines: list[str], tracer=None,
             for d in devices:
                 tracer.device_of_tests[id(d.tests)] = d.device_id
 
-    if not spec["stream"]:
-        devices = list(read_device_stream(lines))
-        register(devices)
-        results, latencies = [], []
-        host0 = host_counters()
-        cpu0 = time.process_time()
-        t0 = time.perf_counter()
-        for device in devices:
-            start = time.perf_counter()
-            results.append(service.run([device])[0])
-            latencies.append(time.perf_counter() - start)
-        wall = time.perf_counter() - t0
-        cpu = time.process_time() - cpu0
-        host1 = host_counters()
-    else:
-        host0 = host_counters()
-        cpu0 = time.process_time()
-        t0 = time.perf_counter()
-        with span("intake.parse"):
+    runs = []
+    for i in range(int(warm_up) + passes):
+        if i > 0:
+            forget_answers(cache, designs)
+            service = make_service(spec, cache, journal_path)
+        if spec["stream"]:
+            run = stream_pass(spec, cache, service, lines, journal_path,
+                              span, register)
+        else:
             devices = list(read_device_stream(lines))
-        register(devices)
-        results = service.run(devices)
-        service.journal.close()
-        with span("journal.read"):
-            replay = read_journal(journal_path)
-        with span("journal.resume"):
-            resumer = DiagnosisService(
-                design_cache=cache, resume_from=replay, **spec["service"]
-            )
-            run["resumed"] = resumer.run(devices)
-        wall = time.perf_counter() - t0
-        cpu = time.process_time() - cpu0
-        host1 = host_counters()
-        # A repeat is a sub-millisecond memo hit whose latency is GIL
-        # hand-offs, so latency is taken over each signature's first
-        # occurrence: admission to result of a diagnosis.
-        firsts = {}
-        for r in results:
-            firsts.setdefault(base_id(r.device_id), r.latency)
-        latencies = list(firsts.values())
-        journal_path.unlink()
-    run.update(
-        devices=devices, results=results,
-        latencies=latencies, wall=wall, cpu=cpu, stats=service.stats(),
-        host={k: round(host1[k] - host0[k], 3) for k in host0},
-    )
-    return run
+            register(devices)
+            run = closed_pass(service, devices)
+        runs.append(run)
+    return {"passes": runs[int(warm_up):]}
+
+
+def closed_pass(service, devices) -> dict:
+    """One client hands over one device at a time; latency is hand-over
+    to result."""
+    results, latencies = [], {}
+    host0 = host_counters()
+    cpu0 = time.process_time()
+    t0 = time.perf_counter()
+    for device in devices:
+        start = time.perf_counter()
+        results.append(service.run([device])[0])
+        latencies[device.device_id] = time.perf_counter() - start
+    wall = time.perf_counter() - t0
+    cpu = time.process_time() - cpu0
+    return _pass(devices, results, None, latencies, wall, cpu, service,
+                 host0)
+
+
+def stream_pass(spec, cache, service, lines, journal_path, span,
+                register) -> dict:
+    """Parse the stream, serve it in one batch through a journal, then
+    resume a fresh service from that journal over the same devices."""
+    from repro.serve import DiagnosisService, read_device_stream, read_journal
+
+    host0 = host_counters()
+    cpu0 = time.process_time()
+    t0 = time.perf_counter()
+    with span("intake.parse"):
+        devices = list(read_device_stream(lines))
+    register(devices)
+    results = service.run(devices)
+    service.journal.close()
+    with span("journal.read"):
+        replay = read_journal(journal_path)
+    with span("journal.resume"):
+        resumer = DiagnosisService(
+            design_cache=cache, resume_from=replay, **spec["service"]
+        )
+        resumed = resumer.run(devices)
+    wall = time.perf_counter() - t0
+    cpu = time.process_time() - cpu0
+    journal_path.unlink()
+    # A repeat is a sub-millisecond memo hit whose latency is GIL
+    # hand-offs, so latency is taken over each signature's first
+    # occurrence: admission to result of a diagnosis.
+    latencies = {}
+    for r in results:
+        latencies.setdefault(base_id(r.device_id), r.latency)
+    return _pass(devices, results, resumed, latencies, wall, cpu, service,
+                 host0)
+
+
+def _pass(devices, results, resumed, latencies, wall, cpu, service,
+          host0) -> dict:
+    host1 = host_counters()
+    return {
+        "devices": devices, "results": results, "resumed": resumed,
+        "latencies": latencies, "wall": wall, "cpu": cpu,
+        "stats": service.stats(),
+        "host": {k: round(host1[k] - host0[k], 3) for k in host0},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -359,26 +409,34 @@ def cold_setup_seconds(workload: str) -> float:
     return statistics.median(samples)
 
 
-def end_to_end(run: dict, refs: dict, setup_s: float) -> dict:
-    results = run["results"]
-    n = len(results)
+def end_to_end(passes: list[dict], refs: dict, setup_s: float) -> dict:
+    """The end-to-end metrics over the timed passes of one run.
+
+    Each device's latency is its median over the passes, and the
+    window's wall and CPU time are the medians of the passes' windows.
+    """
+    n = len(passes[0]["results"])
+    results = [r for p in passes for r in p["results"]]
     ok = sum(r.status == "ok" for r in results)
     minimal = sum(
         r.status == "ok"
         and r.cardinality == refs[base_id(r.device_id)]["min_card"]
         for r in results
     )
-    lat = run["latencies"]
+    lat = [
+        statistics.median(p["latencies"][key] for p in passes)
+        for key in passes[0]["latencies"]
+    ]
     return {
-        "devices_per_sec": n / run["wall"],
+        "devices_per_sec": n / statistics.median(p["wall"] for p in passes),
         "latency_p50_s": statistics.median(lat),
         "latency_p90_s": statistics.quantiles(lat, n=10)[8],
-        "cpu_s_per_device": run["cpu"] / n,
+        "cpu_s_per_device": statistics.median(p["cpu"] for p in passes) / n,
         "setup_s": setup_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
-        "ok_rate": ok / n,
-        "min_card_rate": minimal / n,
+        "ok_rate": ok / len(results),
+        "min_card_rate": minimal / len(results),
     }
 
 
@@ -397,8 +455,6 @@ def main(argv=None) -> int:
     pin_hash_seed()
     spec = WORKLOADS[args.workload]
     cores = os.sched_getaffinity(0)
-    if spec["one_cpu"]:
-        os.sched_setaffinity(0, {max(cores)})
     try:
         import_repro()
     except ImportError as exc:
@@ -426,15 +482,17 @@ def main(argv=None) -> int:
 
         # The first pass of a process runs cold (a cold untraced pass
         # made the ratio read 0.93), so a tenth of the inputs warms the
-        # process up before the untraced baseline.
+        # process up before the untraced baseline.  Both measured
+        # passes then start from a fresh set-up.
         serve(spec, lines[: max(1, len(lines) // 10)],
               journal_path=journal_path)
-        plain = serve(spec, lines, journal_path=journal_path)
+        plain = serve(spec, lines, journal_path=journal_path)["passes"][0]
         problems += check(args.workload, plain, refs)
         tracer = Tracer()
         tracer.install()
         try:
-            run = serve(spec, lines, tracer=tracer, journal_path=journal_path)
+            run = serve(spec, lines, tracer=tracer,
+                        journal_path=journal_path)["passes"][0]
         finally:
             tracer.uninstall()
         problems += check(args.workload, run, refs)
@@ -444,20 +502,26 @@ def main(argv=None) -> int:
         tracer.write(spans_path)
         record["spans"] = str(spans_path.relative_to(ROOT))
         declared = bench["per_layer"]
+        passes = [run]
     else:
         setup_s = cold_setup_seconds(args.workload)
-        run = serve(spec, lines, journal_path=journal_path)
-        problems += check(args.workload, run, refs)
-        metrics = end_to_end(run, refs, setup_s)
+        passes = serve(spec, lines, passes=spec["passes"],
+                       warm_up=spec["passes"] > 1,
+                       journal_path=journal_path)["passes"]
+        for run in passes:
+            problems += check(args.workload, run, refs)
+        metrics = end_to_end(passes, refs, setup_s)
         declared = bench["end_to_end"]
     record["calibration_s"].append(calibrate())
-    record.update(devices=len(run["results"]), wall_s=run["wall"],
-                  cpu_s=run["cpu"], host_stalls_s=run["host"],
+    record.update(devices=len(passes[0]["results"]),
+                  wall_s=[p["wall"] for p in passes],
+                  cpu_s=[p["cpu"] for p in passes],
+                  host_stalls_s=[p["host"] for p in passes],
                   problems=problems[:20])
     print(json.dumps(record), flush=True)
     for problem in problems:
         print(problem, file=sys.stderr)
-    results = run["results"]
+    results = [r for p in passes for r in p["results"]]
     print(json.dumps({
         "correct": not problems,
         "attempted": len(results),
