@@ -1,14 +1,15 @@
-"""Serving-policy bench: the sharded racing service vs. sequential runs.
+"""Serving-policy bench: the sharded ladder service vs. sequential runs.
 
 The PR-7 acceptance bench.  A pinned multi-design device fleet (each
 device = one injected-fault workload's *observed* responses against the
 golden design netlist, with repeated failure signatures mixed in) flows
 through :class:`repro.serve.DiagnosisService` — sharded, per-design
-artifact cache, first-valid-answer strategy races with cancellation —
-and through the **single-session sequential baseline**: one fresh
-session per device, the same three strategy legs run back to back *to
-completion* (the pre-service way of producing every answer, cf. the
-per-instance races of ``bench_candidate_search.py``).
+artifact cache, the min-cardinality strategy ladder (single-fix, then
+greedy, then bsat; first rung with an answer wins) — and through the
+**single-session sequential baseline**: one fresh session per device,
+every rung of the same ladder run back to back *to completion* (the
+pre-service way of producing every answer, cf. the per-instance races
+of ``bench_candidate_search.py``).
 
 Gates (all assert-or-fail):
 
@@ -19,11 +20,15 @@ Gates (all assert-or-fail):
   once per design however many devices flow through (cache counters);
 * batching: every repeated-signature device is served from the memo;
 * parity: every service answer is observation-consistent, and replaying
-  the winning leg sequentially on a fresh single session reproduces the
-  service's solutions bit-identically (validity + cardinality parity);
-  with the race restricted to ``bsat`` (policy ``complete``) the
-  service's per-device answers are bit-identical to the sequential
-  reference enumeration.
+  the winning rung sequentially on a fresh single session reproduces
+  the service's solutions bit-identically (validity + cardinality
+  parity); with the ladder restricted to ``bsat`` (policy ``complete``)
+  the service's per-device answers are bit-identical to the sequential
+  reference enumeration;
+* fall-through: on the fleet's devices with no valid single-gate
+  correction the ladder's single-fix rung finds nothing and greedy
+  answers; served closed-loop, the default ladder's per-device p50 on
+  them stays within 1.5x of a greedy-only service's.
 
 ``--chaos`` adds a robustness leg (the PR-9 serve-chaos CI job): the
 same fleet reruns under seeded shard-kill injection with a result
@@ -34,7 +39,7 @@ journal replays the whole fleet bit-identically without re-diagnosis.
 ``--workers N`` adds the process-mode leg (the PR-10 acceptance, CI's
 ``serve-procs`` job): a **core-bound** multi-design fleet — bsat-only,
 ``policy="complete"``, unique signatures, so every device is genuinely
-GIL-bound solver work with no race cancellation or memo shortcut to
+GIL-bound solver work with no cheap ladder rung or memo shortcut to
 hide behind — runs through the thread service (``--workers 0``
 semantics) and through :class:`repro.serve.ProcessDiagnosisService`
 with ``N`` design-sharded worker processes.  Gates: process mode is
@@ -63,6 +68,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -82,6 +88,7 @@ from repro.serve import (
     read_journal,
     signature_seed,
 )
+from repro.serve.design import SignatureMemo
 from repro.serve.race import run_leg
 from repro.testgen import TestSet
 from repro.testgen.testset import Test
@@ -104,9 +111,39 @@ FULL_EXTRA_FLEET = [
     ("fig5b", (1, 2), 1),
 ]
 
-#: Cardinality bound carried by every device (drives the bsat leg).
+#: (design, workload seed) of two-error devices (p=2, up to 8 failing
+#: tests) that have no valid single-gate correction: the ladder's
+#: single-fix rung finds nothing and greedy answers.  They join the
+#: fleet in both modes and carry the fall-through latency gate.
+FALLTHROUGH_DEVICES = [("sim1423", 1), ("sim6669", 4)]
+
+#: Cardinality bound carried by every device (drives the bsat rung).
 K = 2
 N_SHARDS = 2
+
+
+def _make_device(
+    circuit, design: str, seed: int, p: int = 1, m_max: int = 4
+) -> DeviceReport | None:
+    w = make_workload(circuit, p=p, m_max=m_max, seed=seed, allow_fewer=True)
+    if not w.tests.m:
+        return None
+    tests = TestSet(
+        tuple(Test(dict(t.vector), t.output, t.value ^ 1) for t in w.tests)
+    )
+    return DeviceReport(
+        device_id=f"{design}-s{seed}" + (f"-p{p}" if p != 1 else ""),
+        design=design,
+        tests=tests,
+        k=K,
+    )
+
+
+def _make_fallthrough_devices() -> list[DeviceReport]:
+    return [
+        _make_device(get_circuit(design), design, seed, p=2, m_max=8)
+        for design, seed in FALLTHROUGH_DEVICES
+    ]
 
 
 def _make_devices(fleet) -> list[DeviceReport]:
@@ -115,23 +152,9 @@ def _make_devices(fleet) -> list[DeviceReport]:
         circuit = get_circuit(design)
         first_of_design: list[DeviceReport] = []
         for seed in seeds:
-            w = make_workload(
-                circuit, p=1, m_max=4, seed=seed, allow_fewer=True
-            )
-            if not w.tests.m:
+            device = _make_device(circuit, design, seed)
+            if device is None:
                 continue
-            tests = TestSet(
-                tuple(
-                    Test(dict(t.vector), t.output, t.value ^ 1)
-                    for t in w.tests
-                )
-            )
-            device = DeviceReport(
-                device_id=f"{design}-s{seed}",
-                design=design,
-                tests=tests,
-                k=K,
-            )
             devices.append(device)
             first_of_design.append(device)
         for j in range(min(n_dup, len(first_of_design))):
@@ -165,8 +188,8 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def run_baseline(devices, backend: str | None = None) -> dict:
-    """One fresh session per device, every leg sequentially to
-    completion — no sharding, no cache, no cancellation."""
+    """One fresh session per device, every ladder rung sequentially to
+    completion — no sharding, no cache, no early exit."""
     latencies: list[float] = []
     answers: dict[str, dict] = {}
     start = time.perf_counter()
@@ -221,10 +244,10 @@ def check_parity(
             failures.append(
                 f"{result.device_id}: answer {result.answer} inconsistent"
             )
-        # Replay the signature's winning leg sequentially on a fresh
+        # Replay the signature's winning rung sequentially on a fresh
         # single session: bit-identical solutions (and hence identical
-        # answer cardinality) — the race only changes *when* the answer
-        # arrives, never *what* the winning strategy computes.
+        # answer cardinality) — the ladder only changes *when* the
+        # answer arrives, never *what* the winning strategy computes.
         sig = device.signature()
         if sig not in replayed:
             replay = run_leg(
@@ -237,7 +260,7 @@ def check_parity(
             replayed[sig] = tuple(replay.solutions)
         if tuple(result.solutions) != replayed[sig]:
             failures.append(
-                f"{result.device_id}: {result.winner} race solutions "
+                f"{result.device_id}: {result.winner} ladder solutions "
                 f"differ from the sequential replay"
             )
 
@@ -274,13 +297,83 @@ def check_bsat_reference(
             )
 
 
+#: ROADMAP's ladder gate: on fall-through devices the default ladder's
+#: per-device p50 may be at most this multiple of greedy alone (the
+#: single-fix sweep that found nothing is the only extra work, since
+#: greedy reuses its rectification words).
+FALLTHROUGH_GATE_RATIO = 1.5
+
+#: Closed-loop services per device and ladder; a device's latency is
+#: the median, with the two ladders interleaved against host drift.
+FALLTHROUGH_REPEATS = 3
+
+
+def run_fallthrough_gate(
+    devices, failures: list[str], backend: str | None = None
+) -> dict:
+    """Default ladder vs. greedy alone on the fall-through devices.
+
+    Each device is served alone (one ``run([device])`` per service, one
+    shard, warm design cache, emptied signature memo), so its latency
+    has no queue wait in it.  Gates (appended to ``failures``): every
+    default-ladder answer comes from the greedy rung (the single-fix
+    rung found nothing), and the ladder's per-device p50 is at most
+    :data:`FALLTHROUGH_GATE_RATIO` x the greedy-only service's.
+    """
+    ladders = {"ladder": DEFAULT_STRATEGIES, "greedy": ("greedy-stochastic",)}
+    cache = DesignCache()
+    latencies: dict[str, list[float]] = {name: [] for name in ladders}
+    for device in devices:
+        samples: dict[str, list[float]] = {name: [] for name in ladders}
+        for _ in range(FALLTHROUGH_REPEATS):
+            for name, strategies in ladders.items():
+                artifacts = cache.get(device.design)
+                artifacts.result_memo = SignatureMemo(cache.memo_max_entries)
+                service = DiagnosisService(
+                    n_shards=1,
+                    strategies=strategies,
+                    timeout=120.0,
+                    design_cache=cache,
+                    solver_backend=backend,
+                )
+                (result,) = service.run([device])
+                if result.status != "ok":
+                    failures.append(
+                        f"fall-through: {device.device_id}: {name} status "
+                        f"{result.status}"
+                    )
+                elif result.winner != "greedy-stochastic":
+                    failures.append(
+                        f"fall-through: {device.device_id}: {name} won by "
+                        f"{result.winner}, not the greedy rung"
+                    )
+                samples[name].append(result.latency)
+        for name in ladders:
+            latencies[name].append(statistics.median(samples[name]))
+    p50 = {name: statistics.median(v) for name, v in latencies.items()}
+    ratio = p50["ladder"] / p50["greedy"]
+    if ratio > FALLTHROUGH_GATE_RATIO:
+        failures.append(
+            f"fall-through: ladder p50 {p50['ladder'] * 1e3:.1f}ms is "
+            f"{ratio:.2f}x greedy alone ({p50['greedy'] * 1e3:.1f}ms; "
+            f"> {FALLTHROUGH_GATE_RATIO}x)"
+        )
+    return {
+        "devices": [d.device_id for d in devices],
+        "ladder_p50": p50["ladder"],
+        "greedy_p50": p50["greedy"],
+        "ratio": ratio,
+        "gate_ratio": FALLTHROUGH_GATE_RATIO,
+    }
+
+
 #: Shard count for the chaos leg: killing one of three leaves two
 #: survivors, so the 2x-of-clean throughput gate measures re-routing
 #: cost, not the raw serialization of a lone surviving shard.
 CHAOS_SHARDS = 3
 
 #: Absolute allowance on the chaos throughput gate: one shard kill
-#: legitimately costs re-running a single device's race from scratch
+#: legitimately costs re-running a single device's ladder from scratch
 #: plus a watchdog tick — a fixed cost that dwarfs a sub-100ms smoke
 #: fleet's clean wall but is irrelevant at scale.  The gate still trips
 #: on what it guards: a killed shard parking devices until their full
@@ -419,8 +512,8 @@ def run_chaos(
 #: them on *different* workers at ``--workers 2`` with near-equal
 #: aggregate solve time per worker (~2s each, so the ratio measures
 #: parallel speedup rather than the straggler), unique signatures only
-#: — no duplicate to serve from the memo, no fast approximate leg to
-#: cancel the tail.  Thread mode has nothing left to hide behind; a
+#: — no duplicate to serve from the memo, no cheap rung to answer
+#: first.  Thread mode has nothing left to hide behind; a
 #: throughput win here is core parallelism or nothing.
 WORKERS_FLEET = [
     ("sim6669", (1, 2, 3, 5, 7, 11, 13), 0),
@@ -727,7 +820,8 @@ def run(
     fleet = list(SMOKE_FLEET)
     if not smoke:
         fleet += FULL_EXTRA_FLEET
-    devices = _make_devices(fleet)
+    fallthrough = _make_fallthrough_devices()
+    devices = _make_devices(fleet) + fallthrough
     n_dup = sum(min(d, len(s)) for _, s, d in fleet)
     failures: list[str] = []
 
@@ -745,7 +839,7 @@ def run(
         "smoke": smoke,
         "solver_backend": solver_backend or "arena",
         "n_devices": len(devices),
-        "n_designs": len(fleet),
+        "n_designs": len({d.design for d in devices}),
         "n_shards": N_SHARDS,
         "baseline": {
             "wall": baseline["wall"],
@@ -776,7 +870,7 @@ def run(
                 f"(ratio {ratio})"
             )
     builds = stats["design_cache"]["skeleton_builds"]
-    for design, _, _ in fleet:
+    for design in sorted({d.design for d in devices}):
         if builds.get(design, 0) != 1:
             failures.append(
                 f"{design}: skeleton built {builds.get(design, 0)} times "
@@ -790,6 +884,9 @@ def run(
         )
     check_parity(devices, results, failures, solver_backend)
     check_bsat_reference(devices, failures, solver_backend)
+    report["fallthrough"] = run_fallthrough_gate(
+        fallthrough, failures, solver_backend
+    )
     if chaos:
         report["chaos"] = run_chaos(
             devices,
@@ -849,8 +946,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--solver-backend", default=None, metavar="NAME",
-        help="SAT backend for every leg of the race — both the "
-        "sequential baseline and the service (e.g. arena-jit, racing "
+        help="SAT backend for every rung of the ladder — both the "
+        "sequential baseline and the service (e.g. arena-jit, pitting "
         "the compiled kernels against the interpreted baseline); skips "
         "cleanly when the backend's optional dependency is unavailable",
     )
@@ -900,9 +997,15 @@ def main(argv=None) -> int:
         print(f"  {key:<18} {ratio:6.2f}x")
     winners = serve["stats"]["race_winners"]
     print(
-        f"race winners: {winners}  cancelled legs: "
-        f"{serve['stats']['cancelled_legs']}  signature hits: "
+        f"ladder winners: {winners}  skipped rungs: "
+        f"{serve['stats']['skipped_legs']}  signature hits: "
         f"{serve['stats']['signature_hits']}"
+    )
+    fall = report["fallthrough"]
+    print(
+        f"fall-through p50: ladder {fall['ladder_p50'] * 1e3:.1f}ms vs "
+        f"greedy alone {fall['greedy_p50'] * 1e3:.1f}ms = "
+        f"{fall['ratio']:.2f}x (gate <= {fall['gate_ratio']}x)"
     )
     if "chaos" in report:
         chaos = report["chaos"]
@@ -949,7 +1052,7 @@ def test_serve_smoke():
 def test_serve_chaos_smoke(tmp_path):
     """The chaos leg alone: seeded shard-kills with a journal, gated
     exactly as ``--smoke --chaos``."""
-    devices = _make_devices(SMOKE_FLEET)
+    devices = _make_devices(SMOKE_FLEET) + _make_fallthrough_devices()
     failures: list[str] = []
     run_chaos(
         devices, failures, journal_path=tmp_path / "serve-chaos.wal"

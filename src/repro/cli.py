@@ -21,7 +21,7 @@ A thin, scriptable front-end over the library for users who work with
 * ``certify``  — decide "correction with ≤ k candidates?" with a DRAT
   proof, re-checked independently.
 * ``serve``    — sharded diagnosis service over a JSON-lines stream of
-  failing devices (strategy races, per-design artifact cache, retries).
+  failing devices (strategy ladder, per-design artifact cache, retries).
 
 Test files are plain text: one test per line, ``<bits> <output> <value>``
 with ``<bits>`` in primary-input declaration order.
@@ -149,10 +149,10 @@ _CLI_STRATEGIES = {
 }
 
 
-#: Race legs the ``serve`` command offers (mirrors
+#: Default ladder of the ``serve`` command (mirrors
 #: ``repro.serve.race.DEFAULT_STRATEGIES``; kept literal so the parser
 #: builds without importing the service stack).
-_SERVE_STRATEGIES = ("greedy-stochastic", "ihs", "bsat")
+_SERVE_STRATEGIES = ("single-fix", "greedy-stochastic", "bsat")
 
 
 def _read_observations(spec: str) -> list[tuple[int, ...]]:
@@ -648,13 +648,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--strategies", default=",".join(_SERVE_STRATEGIES),
         metavar="CSV",
-        help="comma-separated race legs per device "
+        help="comma-separated ladder of strategies tried in order per "
+        "device, first with an answer wins; any of single-fix, "
+        "greedy-stochastic, ihs, bsat "
         f"(default: {','.join(_SERVE_STRATEGIES)})",
     )
     p_serve.add_argument(
         "--policy", choices=("first", "complete"), default="first",
-        help="first: first valid answer wins, losers cancelled; "
-        "complete: every leg runs to completion",
+        help="first: each strategy stops at its first valid answer; "
+        "complete: each runs to completion",
     )
     p_serve.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

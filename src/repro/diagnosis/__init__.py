@@ -66,6 +66,8 @@ strategy             wins when                    guarantees
 ``bsim`` / ``cov``   speed matters, guidance      candidates only (may be
                      suffices                     invalid — Lemma 2)
 ``single-fix``       single error suspected       valid; size-1 complete
+                     (the serving ladder's first  (= ``bsat`` at ``k=1``)
+                     rung)
 ``bsat`` (+advanced  completeness required,       all corrections with only
 variants)            ``k`` small                  essential candidates
 ``adv-sim`` /        pools already narrow         valid; complete within

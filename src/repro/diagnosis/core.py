@@ -663,6 +663,20 @@ class CandidateSpace:
         mask = self.session.all_mask
         return [g for g in self.pool if words[g] == mask]
 
+    def nothing_fails(self) -> bool:
+        """True iff no observation fails (the empty correction is valid).
+
+        Consistency is monotone, so an observation that does not fail is
+        rectified by every single gate: one pool gate whose word misses
+        an observation settles the answer from the cached sweep, without
+        building the session's lane simulator for the failing word.
+        """
+        words = self.singleton_rect_words()
+        mask = self.session.all_mask
+        if any(words[g] != mask for g in self.pool):
+            return False
+        return not self.session.failing_word()
+
     def marks(self) -> dict[str, int]:
         """Engine-backed per-gate score: how many observations each gate
         can rectify alone (the effect-analysis analogue of BSIM's
@@ -853,20 +867,41 @@ def _single_fix_strategy(
     k: int = 1,
     pool: Sequence[str] | None = None,
     solver_backend: str | None = None,
+    should_stop: Callable[[], bool] | None = None,
+    budget=None,
 ) -> SolutionSetResult:
     """All size-1 corrections via the space's singleton sweep.
 
+    When no observation fails, the empty correction is the only minimal
+    one, so the answer is ``[()]`` (what BSAT's cardinality-0 probe
+    returns) rather than every pool gate.
+
     ``solver_backend`` is accepted for registry uniformity; the sweep is
-    pure simulation, so it has no effect here.
+    pure simulation, so it has no effect here.  ``should_stop`` and
+    ``budget`` are polled once, before the sweep (one bounded
+    simulation), so a cancelled run does no work.
     """
+    if (should_stop is not None and should_stop()) or (
+        budget is not None and budget.poll()
+    ):
+        return SolutionSetResult(
+            approach="single-fix",
+            k=1,
+            solutions=(),
+            complete=False,
+            extras={"cancelled": True},
+        )
     start = time.perf_counter()
     space = session.space(pool)
-    singles = space.singletons()
+    if space.nothing_fails():
+        solutions = (frozenset(),)
+    else:
+        solutions = tuple(frozenset({g}) for g in space.singletons())
     t_all = time.perf_counter() - start
     return SolutionSetResult(
         approach="single-fix",
         k=1,
-        solutions=tuple(frozenset({g}) for g in singles),
+        solutions=solutions,
         complete=True,
         t_build=0.0,
         t_first=t_all,

@@ -241,7 +241,12 @@ def greedy_stochastic_diagnose(
     pool_consistent = cover == session.all_mask or session.consistent(full)
     climbs = 0
     cancelled = False
-    if pool_consistent:
+    if space.nothing_fails():
+        # Nothing fails: the empty correction is the only subset-minimal
+        # one, and a climb never retracts its last gate.
+        solutions.append(frozenset())
+        t_first = 0.0
+    elif pool_consistent:
         for r in range(retries):
             if max_solutions is not None and len(solutions) >= max_solutions:
                 break

@@ -1,9 +1,11 @@
-"""Production diagnosis service: sharded, cached, racing (PR 7).
+"""Production diagnosis service: sharded, cached, min-cardinality ladder.
 
 The paper's point — pick the right engine per situation — becomes the
-*serving policy* here: every failing device races the fast approximate
-engines against the complete one, first valid answer wins, losers are
-cancelled.  The service layers:
+*serving policy* here: every failing device climbs a ladder from the
+cheapest engine to the complete one — the single-fix simulation sweep
+(for a single error exactly BSAT's size-1 corrections), then greedy
+search, then BSAT — and the first rung with a valid answer wins.  The
+service layers:
 
 ``intake``
     :class:`DeviceReport` — one failing device (design + observed
@@ -12,8 +14,8 @@ cancelled.  The service layers:
     :class:`DesignCache` — per-design artifacts (compiled circuit,
     master-encoding skeleton, result memo) built once per design.
 ``race``
-    :func:`race_device` — first-valid-answer-wins strategy races with
-    cooperative ``should_stop`` cancellation.
+    :func:`race_device` — the strategy ladder, run inline per device,
+    with cooperative ``should_stop``/budget cancellation.
 ``shard``
     :class:`ServiceShard` — worker threads with bounded queues.
 ``service``
@@ -57,7 +59,7 @@ from .journal import (
     signature_key,
 )
 from .procpool import ProcessDiagnosisService
-from .race import DEFAULT_STRATEGIES, RaceOutcome, race_device
+from .race import DEFAULT_STRATEGIES, RUNGS, RaceOutcome, race_device
 from .service import DeviceResult, DiagnosisService
 from .shard import ServiceShard, ShardKilled
 
@@ -81,6 +83,7 @@ __all__ = [
     "JournalCrash",
     "check_invariants",
     "DEFAULT_STRATEGIES",
+    "RUNGS",
     "RaceOutcome",
     "race_device",
     "DeviceResult",

@@ -6,7 +6,7 @@ walks a ladder of ever-cheaper answer classes, each bounded by its own
 :class:`~repro.sat.budget.Budget`:
 
 ``exact``
-    The normal strategy race (bsat/ihs enumeration legs).  Not run
+    The normal strategy ladder (single-fix, greedy, bsat).  Not run
     here — reaching the ladder *means* exact already failed.
 ``approximate``
     A short budget-bounded SAFARI run

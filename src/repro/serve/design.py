@@ -34,6 +34,7 @@ from typing import Callable
 
 from ..circuits import bench, library
 from ..circuits.netlist import Circuit
+from ..circuits.scan import to_combinational
 from ..diagnosis.satdiag import MasterEncodingSkeleton
 from ..sim.compiled import compile_circuit
 
@@ -94,16 +95,26 @@ class SignatureMemo:
 
 
 def load_design(spec: str) -> Circuit:
-    """Default design loader: a library name or a ``.bench`` path."""
+    """Default design loader: a library name or a ``.bench`` path.
+
+    A sequential design resolves to its full-scan combinational view
+    (:func:`~repro.circuits.scan.to_combinational`), the circuit test
+    floors observe and :func:`~repro.experiments.make_workload`
+    diagnoses.
+    """
     if spec in library.available_circuits():
-        return library.get_circuit(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(
-            f"design {spec!r} is neither a library circuit "
-            f"({', '.join(library.available_circuits())}) nor a file"
-        )
-    return bench.load(path)
+        circuit = library.get_circuit(spec)
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise ValueError(
+                f"design {spec!r} is neither a library circuit "
+                f"({', '.join(library.available_circuits())}) nor a file"
+            )
+        circuit = bench.load(path)
+    if circuit.is_sequential:
+        circuit = to_combinational(circuit).circuit
+    return circuit
 
 
 @dataclass

@@ -17,7 +17,7 @@ The JSON shape (one object per device, JSON-lines on the wire)::
 in the design's primary-input order (the tester-log shape); parsing
 ``bits`` needs the design's input order, supplied by the caller as
 ``inputs_of``.  ``k`` optionally bounds the error cardinality for the
-complete-enumeration legs (default: incremental auto-``k``).
+complete-enumeration rungs (default: incremental auto-``k``).
 
 All parsing raises :class:`ValueError` naming the offending field
 (``devices[3].tests[1].output`` style) — never a bare ``KeyError`` /
@@ -51,7 +51,7 @@ class DeviceReport:
     device_id: str
     design: str
     tests: TestSet
-    #: Error-cardinality bound for the enumeration legs (None: auto-k).
+    #: Error-cardinality bound for the enumeration rungs (None: auto-k).
     k: int | None = None
     _signature: tuple = field(default=None, compare=False, repr=False)
 

@@ -1,13 +1,14 @@
 """Process-level scale-out: design-sharded worker processes.
 
-The thread service (:mod:`repro.serve.service`) hedges its way to good
-latency, but under the GIL its race legs share one core — the compute-
-bound legs (pure-Python CDCL, the interpreted glue around the compiled
-kernels) serialize however many shards run.  This module partitions
-*designs* (not devices) across worker **processes**, each running the
-existing thread-based :class:`~repro.serve.service.DiagnosisService`
-over its design subset, so throughput scales with cores while every
-per-design contract stays process-local:
+The thread service (:mod:`repro.serve.service`) gets good latency from
+its cheapest-rung-first ladder, but under the GIL its shards share one
+core — the compute-bound rungs (pure-Python CDCL, the interpreted glue
+around the compiled kernels) serialize however many shards run.  This
+module partitions *designs* (not devices) across worker **processes**,
+each running the existing thread-based
+:class:`~repro.serve.service.DiagnosisService` over its design subset,
+so throughput scales with cores while every per-design contract stays
+process-local:
 
 * the :class:`~repro.serve.design.DesignCache` build-once-per-design
   guarantee holds *per owning worker* — a design's circuit, skeleton
@@ -54,8 +55,8 @@ Semantics carried over from the thread service, one level up:
   deterministic crasher cannot ping-pong forever.
 * **Cancellation** — the parent sends ``("cancel", id)``; the worker's
   control listener sets the device's external cancel event, which the
-  service links into every attempt's cancel flag — the race legs see it
-  at their next ``Budget.should_stop`` poll, so cancellation still
+  service links into every attempt's cancel flag — the running rung sees
+  it at its next ``Budget.should_stop`` poll, so cancellation still
   lands *mid-solve*.  A backstop deadline in the parent covers a
   worker too wedged to answer even that.
 * **Durability** — exactly one WAL, owned by the parent: workers ship
@@ -88,7 +89,7 @@ from .journal import (
     _encode_solutions,
     signature_key,
 )
-from .race import DEFAULT_STRATEGIES
+from .race import DEFAULT_STRATEGIES, RUNGS
 from .service import DeviceResult, DiagnosisService
 
 __all__ = ["ProcessDiagnosisService"]
@@ -170,7 +171,6 @@ def _worker_main(
         timeout=config["timeout"],
         max_attempts=config["max_attempts"],
         queue_size=config["queue_size"],
-        stagger=config["stagger"],
         conflict_poll_interval=config["conflict_poll_interval"],
         degrade=config["degrade"],
         degrade_budget=config["degrade_budget"],
@@ -324,7 +324,6 @@ class ProcessDiagnosisService:
         timeout: float | None = None,
         max_attempts: int = 2,
         queue_size: int = 2,
-        stagger: float = 0.02,
         conflict_poll_interval: int = 64,
         degrade: bool = True,
         degrade_budget: float = 0.25,
@@ -347,10 +346,10 @@ class ProcessDiagnosisService:
         if not strategies:
             raise ValueError("at least one strategy is required")
         for name in strategies:
-            if name not in DEFAULT_STRATEGIES:
+            if name not in RUNGS:
                 raise ValueError(
                     f"unknown strategy {name!r} (expected one of "
-                    f"{', '.join(DEFAULT_STRATEGIES)})"
+                    f"{', '.join(RUNGS)})"
                 )
         if policy not in ("first", "complete"):
             raise ValueError("policy must be 'first' or 'complete'")
@@ -374,7 +373,6 @@ class ProcessDiagnosisService:
             "timeout": timeout,
             "max_attempts": max_attempts,
             "queue_size": queue_size,
-            "stagger": stagger,
             "conflict_poll_interval": conflict_poll_interval,
             "degrade": degrade,
             "degrade_budget": degrade_budget,

@@ -1,35 +1,41 @@
-"""First-valid-answer-wins strategy races with cooperative cancellation.
+"""Min-cardinality strategy ladder: cheapest rung first, first answer wins.
 
-One device, one shared :class:`~repro.diagnosis.core.DiagnosisSession`,
-several strategy *legs* running concurrently: the SAFARI greedy climbs
-(fast approximate first answer), the implicit-hitting-set loop (minimum
-cardinality without full enumeration) and the complete BSAT enumeration
-(incremental auto-``k``).  The first leg to produce a solution wins —
-every leg only ever reports *verified valid* corrections, so the winner
-needs no post-hoc validation — and the losers are cancelled through the
-``should_stop`` callback each strategy polls at its check interval (one
-retraction attempt / hitting-set round / solver call).  This turns the
-20–800× first-answer gaps ``bench_candidate_search.py`` measures into
-reclaimed throughput: the complete-enumeration tail is simply not run
-once a valid answer exists.
+One device, one :class:`~repro.diagnosis.core.DiagnosisSession`, and a
+*ladder* of strategy rungs run inline on the caller's (shard) thread, in
+order:
 
-Legs are *threads*, matching the service's thread-per-shard design (see
-``serve.service``).  In the hedged configuration (``stagger > 0``, the
-service default) each delayed leg runs on its **own session** cloned
-from the caller's — same circuit, tests, seed and master skeleton — so
-concurrent legs share no mutable state and the first leg starts cold
-immediately, building only the substrate it actually needs.  In the
-unhedged all-at-once race the legs share the caller's session, so the
-common substrate (rect words, responses, observation candidates) is
-pre-materialized here before the threads start and the race only
-reads it; each leg then builds its own solver state under distinct
-session cache keys (master view for BSAT, hitting-set state for IHS,
-the stateless bit-parallel oracle for greedy).
+``single-fix``
+    One fault-parallel forced-value sweep.  This is the paper's central
+    relation: for a single error, simulation finds exactly BSAT's size-1
+    corrections, so when a valid singleton exists the sweep *is* the
+    complete minimum-cardinality answer.
+``greedy-stochastic``
+    SAFARI climbs over the same cached singleton rectification words,
+    so a first rung that finds nothing has wasted nothing.  Valid
+    answers, usually of minimum cardinality.
+``bsat``
+    Incremental auto-``k`` BSAT enumeration: the complete fallback.
 
-With ``strategies=("bsat",)`` the race degenerates to one inline
-complete enumeration — the reference mode whose answers are
-bit-identical to the sequential baseline (used by the parity gate of
-``bench_serve.py``).
+The first rung that returns solutions wins and the rungs after it are
+skipped (never started).  Every rung only reports *verified valid*
+corrections, so the winner needs no post-hoc validation.  ``ihs``
+(minimum cardinality without full enumeration) is a legal rung but not
+a default one.
+
+Rungs run one after another, not as concurrent threads: under the GIL
+a concurrent heavier rung only slows the one that would have won (a
+threaded race with a 20 ms stagger spent ~0.3 s of CPU per
+sim1423/sim6669 device, where the ladder answers most of them with one
+sweep; see ROADMAP.md, "Serving guide").
+
+Every rung carries the device's :class:`~repro.sat.budget.Budget`
+(deadline plus the watchdog's cancel flag, polled in the SAT search
+every ``conflict_poll_interval`` conflicts), so a cancel or deadline
+lands mid-solve and the ladder stops at the rung it interrupted.
+
+With ``strategies=("bsat",)`` the ladder is one complete enumeration —
+the reference mode whose answers are bit-identical to the sequential
+baseline (used by the parity gate of ``bench_serve.py``).
 """
 
 from __future__ import annotations
@@ -42,33 +48,37 @@ from ..diagnosis.base import Correction, SolutionSetResult
 from ..diagnosis.core import DiagnosisSession, diagnose
 from ..sat.budget import Budget
 
-__all__ = ["RaceOutcome", "race_device", "DEFAULT_STRATEGIES"]
+__all__ = ["RaceOutcome", "race_device", "DEFAULT_STRATEGIES", "RUNGS"]
 
-DEFAULT_STRATEGIES = ("greedy-stochastic", "ihs", "bsat")
+DEFAULT_STRATEGIES = ("single-fix", "greedy-stochastic", "bsat")
 
-#: auto-k cap for the BSAT leg when the device carries no ``k`` hint.
+#: Every strategy the ladder can run, in no particular order.
+RUNGS = ("single-fix", "greedy-stochastic", "ihs", "bsat")
+
+#: auto-k cap for the BSAT rung when the device carries no ``k`` hint.
 _DEFAULT_K_MAX = 4
 
 
 @dataclass
 class RaceOutcome:
-    """What one device's race produced."""
+    """What one device's ladder produced."""
 
     winner: str | None = None
     result: SolutionSetResult | None = None
-    #: The winning leg's minimum-size solution, sorted (None: no leg
+    #: The winning rung's minimum-size solution, sorted (None: no rung
     #: produced a solution before cancellation/timeout).
     answer: tuple[str, ...] | None = None
     solutions: tuple[Correction, ...] = ()
     elapsed: float = 0.0
+    #: The ladder stopped because its deadline passed.
     timed_out: bool = False
+    #: The ladder was stopped (cancel flag or deadline) before a winner.
     cancelled: bool = False
-    #: Legs that reported a cancelled (raced-and-lost) run.
+    #: The interrupted rung plus every rung after it.
     cancelled_legs: int = 0
-    #: Hedged legs that never started because a winner emerged inside
-    #: their stagger delay (cancelled work avoided entirely).
+    #: Rungs after the winner: never started.
     skipped_legs: int = 0
-    #: Leg name -> summary dict (for observability counters).
+    #: Rung name -> summary dict (for observability counters).
     legs: dict = field(default_factory=dict)
 
 
@@ -89,21 +99,22 @@ def run_leg(
     solver_backend: str | None = None,
     budget: Budget | None = None,
 ) -> SolutionSetResult:
-    """One strategy leg with race-appropriate limits.
+    """One strategy rung with ladder-appropriate limits.
 
-    ``first_only`` runs each leg to its *first* solution (the racing
-    mode); otherwise the leg runs to completion (the reference mode).
-    ``budget`` (one per leg — budgets are not thread-safe) threads
-    solver-level cancellation into the leg: the SAT search itself polls
-    every ``budget.conflict_poll_interval`` conflicts, so a cancelled
-    or past-deadline leg stops mid-solve instead of at the next
-    solver-call boundary.
+    ``first_only`` runs the rung to its *first* solution (the serving
+    mode); otherwise it runs to completion (the reference mode).
+    ``budget`` threads solver-level cancellation into the rung: the SAT
+    search itself polls every ``budget.conflict_poll_interval``
+    conflicts, so a cancelled or past-deadline rung stops mid-solve
+    instead of at the next solver-call boundary.
     """
     options: dict = {"should_stop": should_stop}
     if budget is not None:
         options["budget"] = budget
     if solver_backend is not None:
         options["solver_backend"] = solver_backend
+    if strategy == "single-fix":
+        return diagnose(session, strategy="single-fix", **options)
     if strategy == "greedy-stochastic":
         if first_only:
             options["max_solutions"] = 1
@@ -124,43 +135,9 @@ def run_leg(
             **options,
         )
     raise ValueError(
-        f"unknown race strategy {strategy!r} "
-        "(expected greedy-stochastic, ihs or bsat)"
+        f"unknown race strategy {strategy!r} (expected one of "
+        f"{', '.join(RUNGS)})"
     )
-
-
-def _prematerialize(session: DiagnosisSession) -> None:
-    """Build every substrate the legs share *before* they run.
-
-    The legs then only read these memoized structures; the remaining
-    shared mutations (per-strategy solver states) live under distinct
-    session cache keys, one per leg.  Only the *unhedged* race pays
-    this upfront cost — hedged delayed legs get private sessions
-    instead (see :func:`_leg_session`).
-    """
-    space = session.space()
-    space.singleton_rect_words()
-    session.failing_word()
-    for j in range(session.m):
-        space.observation_candidates(j)
-
-
-def _leg_session(session: DiagnosisSession) -> DiagnosisSession:
-    """A private session for one hedged leg: same circuit, tests, seed
-    and master skeleton as the caller's, but no shared mutable caches —
-    concurrent legs cannot corrupt each other's memoization, and no
-    substrate needs pre-materializing before the race starts."""
-    clone = DiagnosisSession(
-        session.circuit,
-        session.tests,
-        constrain_all_outputs=session.constrain_all_outputs,
-        solver_backend=session.solver_backend,
-        seed=session.seed,
-    )
-    skeleton = getattr(session, "master_skeleton", None)
-    if skeleton is not None:
-        clone.master_skeleton = skeleton
-    return clone
 
 
 def race_device(
@@ -171,149 +148,60 @@ def race_device(
     cancel: threading.Event | None = None,
     deadline: float | None = None,
     solver_backend: str | None = None,
-    stagger: float = 0.0,
     conflict_poll_interval: int = 64,
 ) -> RaceOutcome:
-    """Race ``strategies`` on one prepared session, first valid answer
-    wins.
+    """Run the ``strategies`` ladder on one prepared session; the first
+    rung with solutions wins.
 
-    ``cancel`` is the shard watchdog's plug: once set, every leg stops
-    at its next check interval and the race returns with
-    ``cancelled=True``.  ``deadline`` (``time.monotonic()`` timestamp)
-    bounds how long the race *waits* for its legs; legs still running
-    at the deadline are cancelled and abandoned (they stop at their
-    next poll) and the outcome reports ``timed_out=True``.
-
-    ``stagger`` hedges the race: leg ``i`` starts ``i * stagger``
-    seconds after the first, so when the fast approximate leg answers
-    inside the delay the heavier legs are *skipped* rather than
-    cancelled (their work never starts — the big lever under the GIL,
-    where concurrent CPU-bound legs otherwise slow each other down).
-    A slow first leg degrades gracefully into the full concurrent race,
-    with each delayed leg on a private cloned session so the overlap
-    shares no mutable state.
-
-    Every leg carries its own :class:`~repro.sat.budget.Budget`
-    (deadline + the race's stop signals, polled in the SAT search every
-    ``conflict_poll_interval`` conflicts), so cancellation lands
-    mid-solve within a bounded number of conflicts — an abandoned leg
-    does not burn CPU until its next solver-call boundary.
+    ``cancel`` is the shard watchdog's plug and ``deadline`` a
+    ``time.monotonic()`` timestamp.  Both reach every rung through its
+    ``should_stop`` hook and the device's
+    :class:`~repro.sat.budget.Budget`; once either fires, the running
+    rung stops at its next poll, the rest never start, and the outcome
+    reports ``cancelled=True`` (plus ``timed_out=True`` when the
+    deadline passed).
     """
     if not strategies:
         raise ValueError("the race needs at least one strategy")
     outcome = RaceOutcome()
     start = time.monotonic()
+    should_stop = budget = None
+    if cancel is not None or deadline is not None:
 
-    def external_stop() -> bool:
-        if cancel is not None and cancel.is_set():
-            return True
-        return deadline is not None and time.monotonic() >= deadline
+        def should_stop() -> bool:
+            if cancel is not None and cancel.is_set():
+                return True
+            return deadline is not None and time.monotonic() >= deadline
 
-    def leg_budget(stop_check) -> Budget:
-        # One Budget per leg: the counters are mutated by the leg's own
-        # thread only.  The deadline is enforced inside the solver; the
-        # stop_check picks up race-level cancellation.
-        return Budget(
-            should_stop=stop_check,
+        # The deadline is enforced inside the solver; the budget's own
+        # stop check picks up the watchdog's cancel flag.
+        budget = Budget(
+            should_stop=cancel.is_set if cancel is not None else None,
             deadline=deadline,
             conflict_poll_interval=conflict_poll_interval,
         )
-
-    if len(strategies) == 1:
-        external = (
-            external_stop if (cancel or deadline) else None
-        )
+    for i, name in enumerate(strategies):
         result = run_leg(
-            session, strategies[0], k, first_only,
-            should_stop=external,
+            session, name, k, first_only,
+            should_stop=should_stop,
             solver_backend=solver_backend,
-            budget=(
-                leg_budget(
-                    (lambda: cancel.is_set()) if cancel is not None
-                    else None
-                )
-                if (cancel is not None or deadline is not None)
-                else None
-            ),
+            budget=budget,
         )
-        outcome.legs[strategies[0]] = _leg_summary(result)
+        outcome.legs[name] = _leg_summary(result)
         if result.extras.get("cancelled"):
             outcome.cancelled = True
-            outcome.cancelled_legs = 1
-        if result.solutions and not outcome.cancelled:
-            outcome.winner = strategies[0]
+            outcome.cancelled_legs = len(strategies) - i
+            outcome.timed_out = (
+                deadline is not None and time.monotonic() >= deadline
+            )
+            break
+        if result.solutions:
+            outcome.winner = name
             outcome.result = result
             outcome.solutions = tuple(result.solutions)
             outcome.answer = _pick_answer(outcome.solutions)
-        outcome.elapsed = time.monotonic() - start
-        return outcome
-
-    # Hedged circuit races isolate the delayed legs on private cloned
-    # sessions, so nothing is shared and the first leg starts cold with
-    # zero upfront cost.  Unhedged (or system-description) races share
-    # the caller's session and must pre-materialize the read-only
-    # substrate before any thread runs.
-    shared = stagger <= 0.0 or getattr(session, "circuit", None) is None
-    if shared:
-        _prematerialize(session)
-    stop = threading.Event()
-    lock = threading.Lock()
-
-    def should_stop() -> bool:
-        return stop.is_set() or external_stop()
-
-    def leg(name: str, delay: float) -> None:
-        if delay > 0.0 and stop.wait(delay):
-            # A winner emerged before this hedged leg started: skip it.
-            with lock:
-                outcome.legs[name] = {"skipped": True}
-                outcome.skipped_legs += 1
-            return
-        leg_session = (
-            session if shared or delay <= 0.0 else _leg_session(session)
-        )
-        try:
-            result = run_leg(
-                leg_session, name, k, first_only, should_stop,
-                solver_backend=solver_backend,
-                budget=leg_budget(should_stop),
-            )
-        except Exception as exc:  # a dead leg must not kill the race
-            with lock:
-                outcome.legs[name] = {"error": repr(exc)}
-            return
-        with lock:
-            outcome.legs[name] = _leg_summary(result)
-            if result.extras.get("cancelled"):
-                outcome.cancelled_legs += 1
-            elif result.solutions and outcome.winner is None:
-                if not external_stop():
-                    outcome.winner = name
-                    outcome.result = result
-                    outcome.solutions = tuple(result.solutions)
-                    outcome.answer = _pick_answer(outcome.solutions)
-                    stop.set()
-
-    threads = [
-        threading.Thread(target=leg, args=(name, i * stagger), daemon=True)
-        for i, name in enumerate(strategies)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        remaining = (
-            None if deadline is None else max(0.0, deadline - time.monotonic())
-        )
-        t.join(timeout=remaining)
-        if t.is_alive():
-            # Past the deadline: tell every leg to stop and hand the
-            # device back to the service (the thread exits at its next
-            # poll; the shard does not wait for it).
-            stop.set()
-            outcome.timed_out = True
+            outcome.skipped_legs = len(strategies) - i - 1
             break
-    if cancel is not None and cancel.is_set():
-        outcome.cancelled = True
     outcome.elapsed = time.monotonic() - start
     return outcome
 

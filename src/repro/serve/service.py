@@ -1,15 +1,15 @@
 """The sharded asynchronous diagnosis service.
 
 Orchestration only — the diagnosis itself happens in the shards
-(:mod:`repro.serve.shard`) and their strategy races
-(:mod:`repro.serve.race`).  The service owns:
+(:mod:`repro.serve.shard`), each running a device's strategy ladder
+inline (:mod:`repro.serve.race`).  The service owns:
 
 * **Routing**: each device goes to a shard chosen by a stable hash of
   its design, so all devices of one design share that shard's warm
   sessions and the global :class:`~repro.serve.design.DesignCache`
   artifacts; retries rotate to a *different* shard.
 * **Deadline/retry**: a watchdog thread cancels attempts past their
-  deadline (the race legs stop at their next ``should_stop`` poll) and
+  deadline (the running rung stops at its next ``should_stop`` poll) and
   re-queues the device elsewhere, up to ``max_attempts``; a shard that
   dies (:class:`~repro.serve.shard.ShardKilled`) has its in-flight
   device and queued backlog re-routed the same way.
@@ -19,7 +19,7 @@ Orchestration only — the diagnosis itself happens in the shards
   results are counted and dropped.
 * **Batching**: resolved answers are memoized per (design, failure
   signature); identical-signature devices collapse onto the first
-  one's uint64-lane simulation and race.
+  one's uint64-lane simulation and ladder.
 * **Degradation**: a device that exhausts every attempt does not
   produce an empty ``timeout`` — the degradation ladder
   (:mod:`repro.serve.degrade`) salvages a bounded approximate answer or
@@ -47,7 +47,7 @@ from .degrade import run_degradation_ladder
 from .design import DesignArtifacts, DesignCache
 from .intake import DeviceReport, signature_seed
 from .journal import JournalReplay, ResultJournal, signature_key
-from .race import DEFAULT_STRATEGIES, RaceOutcome
+from .race import DEFAULT_STRATEGIES, RUNGS, RaceOutcome
 from .shard import ServiceShard
 
 __all__ = ["DeviceResult", "DiagnosisService"]
@@ -116,8 +116,8 @@ class _LinkedCancel:
     (set by the parent's control message).  ``set()`` flips only the
     local per-attempt flag — a retry gets a fresh local flag and must
     not be pre-cancelled by its predecessor — while ``is_set()`` ORs in
-    the external event, so a parent-sent cancel reaches the race legs'
-    ``Budget.should_stop`` polls mid-solve exactly like a watchdog
+    the external event, so a parent-sent cancel reaches the running
+    rung's ``Budget.should_stop`` polls mid-solve exactly like a watchdog
     deadline does.
     """
 
@@ -168,24 +168,20 @@ class DiagnosisService:
         Worker threads (each with a bounded queue — the queue bound is
         the admission control that keeps reported latencies honest).
     strategies:
-        Race legs per device (:data:`~repro.serve.race.
-        DEFAULT_STRATEGIES`); ``("bsat",)`` gives the bit-reproducible
-        reference mode.
+        The ladder of rungs tried in order per device, first rung with
+        solutions wins (:data:`~repro.serve.race.DEFAULT_STRATEGIES`:
+        single-fix, greedy, bsat; any of :data:`~repro.serve.race.RUNGS`);
+        ``("bsat",)`` gives the bit-reproducible reference mode.
     policy:
-        ``"first"`` — first valid answer wins, losers cancelled;
-        ``"complete"`` — every leg runs to completion (use with one
+        ``"first"`` — each rung stops at its first valid answer;
+        ``"complete"`` — each rung runs to completion (use with one
         strategy for reference answers).
     timeout:
         Per-attempt deadline in seconds (None: no watchdog).
     max_attempts:
         Total attempts per device (1 = no retry).
-    stagger:
-        Hedge delay between race legs (seconds): leg ``i`` starts
-        ``i * stagger`` after the first, and is skipped outright when a
-        winner emerges first (see :func:`~repro.serve.race.race_device`).
-        0 disables hedging (all legs start together).
     conflict_poll_interval:
-        Solver-level cancellation granularity: every race leg carries a
+        Solver-level cancellation granularity: every rung carries a
         :class:`~repro.sat.budget.Budget` polled at least this often
         (in conflicts), so a deadline or cancellation lands mid-solve
         within a bounded number of conflicts rather than at the next
@@ -214,7 +210,7 @@ class DiagnosisService:
         dispatch: when a device has an entry its attempts carry a
         cancel flag linked to that event, and setting the event (the
         process-mode parent does, on a cancel message) stops the
-        in-flight race mid-solve and resolves the device as
+        in-flight ladder mid-solve and resolves the device as
         ``status="timeout"`` without retry or degradation — the parent
         asked the device to be abandoned, not salvaged.
 
@@ -232,7 +228,6 @@ class DiagnosisService:
         timeout: float | None = None,
         max_attempts: int = 2,
         queue_size: int = 2,
-        stagger: float = 0.02,
         conflict_poll_interval: int = 64,
         degrade: bool = True,
         degrade_budget: float = 0.25,
@@ -253,10 +248,10 @@ class DiagnosisService:
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         for name in self.strategies:
-            if name not in DEFAULT_STRATEGIES:
+            if name not in RUNGS:
                 raise ValueError(
                     f"unknown strategy {name!r} (expected one of "
-                    f"{', '.join(DEFAULT_STRATEGIES)})"
+                    f"{', '.join(RUNGS)})"
                 )
         if conflict_poll_interval < 1:
             raise ValueError("conflict_poll_interval must be at least 1")
@@ -264,7 +259,6 @@ class DiagnosisService:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.queue_size = queue_size
-        self.stagger = stagger
         self.conflict_poll_interval = conflict_poll_interval
         self.degrade = degrade
         self.degrade_budget = degrade_budget

@@ -6,23 +6,24 @@ master-encoding skeleton, the per-signature result memo — are large
 mutable object graphs living in the shared
 :class:`~repro.serve.design.DesignCache`; sharing them across threads
 keeps the build-once-per-design contract, and the cooperative
-``should_stop`` cancellation the strategy legs poll only works with
+``should_stop`` cancellation the strategy rungs poll only works with
 shared memory.  The thread service's throughput win is algorithmic
-(race cancellation of the complete-enumeration tail, signature
-batching, skeleton reuse), not core-parallelism.  When the workload
-*is* core-bound — many designs, compute-heavy legs — the scale-out
-lever is one level up: :mod:`repro.serve.procpool` shards *designs*
-(not devices) across worker processes, each worker running this
-thread machinery over its design subset so every per-design contract
-stays process-local (``serve --workers N``).
+(the cheapest-rung-first ladder, signature batching, skeleton reuse),
+not core-parallelism.  When the workload *is* core-bound — many
+designs, compute-heavy rungs — the scale-out lever is one level up:
+:mod:`repro.serve.procpool` shards *designs* (not devices) across
+worker processes, each worker running this thread machinery over its
+design subset so every per-design contract stays process-local
+(``serve --workers N``).
 
 A shard dequeues one attempt at a time: memo lookup first (signature
-batching), else a fresh session stamped from the design skeleton and a
-strategy race (:func:`~repro.serve.race.race_device`).  Failures are
-reported to the service, which owns retry/exactly-once; a
-:class:`ShardKilled` escape (fault injection, tests) kills the worker
-thread itself, and the service re-routes both the in-flight device and
-the dead shard's queue.
+batching), else a fresh session stamped from the design skeleton and
+the strategy ladder, run inline on the shard thread
+(:func:`~repro.serve.race.race_device`).  Failures are reported to the
+service, which owns retry/exactly-once; a :class:`ShardKilled` escape
+(fault injection, tests) kills the worker thread itself, and the
+service re-routes both the in-flight device and the dead shard's
+queue.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ class ServiceShard(threading.Thread):
             first_only=service.policy == "first",
             cancel=attempt.cancel,
             deadline=attempt.deadline,
-            stagger=service.stagger,
             conflict_poll_interval=service.conflict_poll_interval,
         )
         self.stats["cancelled_legs"] += outcome.cancelled_legs

@@ -1,6 +1,7 @@
 """Strategy races: first valid answer wins, losers cancel cleanly."""
 
 import threading
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.sat.backends import SAT_BACKENDS, register_backend
 from repro.sat.budget import Budget
 from repro.sat.compiled import CompiledSolver
 from repro.serve import DEFAULT_STRATEGIES, race_device, signature_seed
-from repro.serve.race import run_leg
+from repro.serve.race import RUNGS, run_leg
 
 from tests.serve._devices import make_device
 
@@ -202,3 +203,100 @@ def test_cancelled_greedy_and_ihs_leave_session_reusable():
     fresh = diagnose(_session(device), strategy="ihs")
     assert tuple(full.solutions) == tuple(fresh.solutions)
     assert full.complete == fresh.complete
+
+
+# ----------------------------------------------------------------------
+# the min-cardinality ladder: single-fix -> greedy -> bsat
+# ----------------------------------------------------------------------
+def test_default_ladder_starts_with_single_fix_and_drops_ihs():
+    assert DEFAULT_STRATEGIES == ("single-fix", "greedy-stochastic", "bsat")
+    assert "ihs" in RUNGS and set(DEFAULT_STRATEGIES) <= set(RUNGS)
+
+
+@pytest.mark.parametrize(
+    "design, seed, n_singletons",
+    [("sim1423", 2, 41), ("sim6669", 3, 4)],
+)
+def test_single_fix_win_is_bsat_at_k1(design, seed, n_singletons):
+    # The paper's relation: forced-value simulation finds exactly BSAT's
+    # size-1 corrections, so a single-fix win is the complete
+    # minimum-cardinality answer and the later rungs never start.
+    device = make_device("d0", design=design, seed=seed, p=2, m_max=8, k=2)
+    single = diagnose(_session(device), strategy="single-fix")
+    bsat = diagnose(_session(device), k=1, strategy="bsat")
+    assert bsat.complete
+    assert len(single.solutions) == n_singletons
+    assert set(single.solutions) == set(bsat.solutions)
+    outcome = race_device(_session(device), k=device.k)
+    assert outcome.winner == "single-fix"
+    assert outcome.skipped_legs == 2 and outcome.cancelled_legs == 0
+    assert set(outcome.solutions) == set(bsat.solutions)
+    assert len(outcome.answer) == 1
+
+
+@pytest.mark.parametrize("design, seed", [("sim1423", 1), ("sim6669", 4)])
+def test_no_singleton_device_falls_through_to_greedy(design, seed):
+    device = make_device("d0", design=design, seed=seed, p=2, m_max=8, k=2)
+    assert diagnose(_session(device), strategy="single-fix").solutions == ()
+    outcome = race_device(_session(device), k=device.k)
+    greedy = diagnose(
+        _session(device), strategy="greedy-stochastic", max_solutions=1
+    )
+    assert outcome.winner == "greedy-stochastic"
+    assert outcome.skipped_legs == 1
+    assert outcome.solutions == tuple(greedy.solutions)
+    assert outcome.answer == tuple(sorted(greedy.solutions[0]))
+
+
+def test_single_fix_rung_polls_once_before_the_sweep():
+    device = make_device("d0", seed=3)
+    stop = _Stop(after=0)
+    result = diagnose(_session(device), strategy="single-fix", should_stop=stop)
+    assert result.extras.get("cancelled") is True
+    assert result.solutions == () and not result.complete
+    assert stop.calls == 1
+
+
+class _CancelAfter(threading.Event):
+    """A cancel flag that reads set from its ``after + 1``-th check on."""
+
+    def __init__(self, after: int) -> None:
+        super().__init__()
+        self.checks = 0
+        self.after = after
+
+    def is_set(self) -> bool:
+        self.checks += 1
+        return self.checks > self.after or super().is_set()
+
+
+def test_cancel_between_rungs_stops_the_ladder():
+    # The single-fix rung checks the flag twice (its should_stop and its
+    # budget) and finds no singleton; the flag is set by the time the
+    # greedy rung polls, so greedy and bsat count as cancelled.
+    device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
+    outcome = race_device(
+        _session(device), k=device.k, cancel=_CancelAfter(after=2)
+    )
+    assert outcome.cancelled and outcome.answer is None
+    assert outcome.legs["single-fix"]["solutions"] == 0
+    assert outcome.cancelled_legs == 2
+    assert not outcome.timed_out
+
+
+def test_past_deadline_ladder_times_out_every_rung():
+    device = make_device("d0", seed=3, k=2)
+    outcome = race_device(
+        _session(device), k=device.k, deadline=time.monotonic() - 1.0
+    )
+    assert outcome.cancelled and outcome.timed_out
+    assert outcome.answer is None
+    assert outcome.cancelled_legs == len(DEFAULT_STRATEGIES)
+
+
+def test_rung_error_propagates_like_a_single_leg():
+    # No singleton, so the ladder reaches its second rung, whose error
+    # reaches the shard (which resolves the device as an error).
+    device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8)
+    with pytest.raises(ValueError, match="unknown race strategy"):
+        race_device(_session(device), strategies=("single-fix", "nope"))

@@ -6,14 +6,20 @@ import time
 import pytest
 
 from repro.circuits import library
+from repro.circuits.scan import to_combinational
 from repro.diagnosis import DiagnosisSession, diagnose
+from repro.diagnosis.validity import is_valid_correction
 from repro.serve import (
     DesignCache,
     DeviceReport,
     DiagnosisService,
+    ResultJournal,
     ShardKilled,
+    read_journal,
     signature_seed,
 )
+from repro.testgen import TestSet
+from repro.testgen.testset import Test
 
 from tests.serve._devices import make_device
 
@@ -288,3 +294,69 @@ def test_memo_cap_evictions_surface_in_stats():
     # Three unique signatures through a one-entry memo: two evictions.
     assert service.stats()["design_cache"]["memo_evictions"] == 2
     assert service.stats()["memo_stores"] == 3
+
+
+def _passing_device(device_id: str) -> DeviceReport:
+    # A sim1423 device with its flipped responses flipped back: every
+    # observation matches the golden design, so nothing fails.
+    failing = make_device("src", design="sim1423", seed=3, k=2)
+    tests = TestSet(
+        tuple(
+            Test(vector=dict(t.vector), output=t.output, value=t.value ^ 1)
+            for t in failing.tests
+        )
+    )
+    return DeviceReport(
+        device_id=device_id, design="sim1423", tests=tests, k=2
+    )
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [None, ("greedy-stochastic",), ("bsat",)],
+    ids=["default", "greedy", "bsat"],
+)
+def test_device_without_failures_resolves_empty_correction(
+    strategies, tmp_path
+):
+    # Definition 3: when no observation fails the empty correction is
+    # valid, so it is the only minimal one — on every ladder, and after
+    # a journal round trip.
+    device = _passing_device("p0")
+    session = DiagnosisSession(
+        library.get_circuit("sim1423"), device.tests
+    )
+    assert session.failing_word() == 0
+    assert diagnose(session, k=2, strategy="bsat").solutions == (
+        frozenset(),
+    )
+    options = {} if strategies is None else {"strategies": strategies}
+    path = tmp_path / "serve.wal"
+    journal = ResultJournal(path)
+    service = DiagnosisService(
+        n_shards=1, timeout=30.0, journal=journal, **options
+    )
+    (result,) = service.run([device])
+    journal.close()
+    assert result.status == "ok"
+    assert result.answer == () and result.cardinality == 0
+    assert result.solutions == (frozenset(),)
+    (replayed,) = DiagnosisService(
+        n_shards=1, resume_from=read_journal(path), **options
+    ).run([device])
+    assert replayed.journal_replayed
+    assert replayed.answer == () and replayed.cardinality == 0
+
+
+def test_sequential_design_served_on_its_full_scan_view():
+    # make_workload diagnoses s27's full-scan view; the design cache
+    # must load that same view, not the sequential netlist.
+    device = make_device("s0", design="s27", seed=3)
+    cache = DesignCache()
+    assert cache.get("s27").circuit.is_combinational
+    (result,) = DiagnosisService(
+        n_shards=1, timeout=30.0, design_cache=cache
+    ).run([device])
+    assert result.status == "ok", result.error
+    scan = to_combinational(library.get_circuit("s27")).circuit
+    assert is_valid_correction(scan, device.tests, result.answer)

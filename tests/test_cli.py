@@ -484,6 +484,28 @@ def test_serve_rejects_unknown_strategy(tmp_path):
         main(["serve", str(stream), "--strategies", "nope"])
 
 
+def test_serve_default_strategies_mirror_the_service_ladder():
+    # The parser keeps its default literal (no service import at parse
+    # time); it must stay the service's default ladder.
+    from repro.cli import _SERVE_STRATEGIES
+    from repro.serve import DEFAULT_STRATEGIES
+
+    assert _SERVE_STRATEGIES == DEFAULT_STRATEGIES
+
+
+def test_serve_accepts_ihs_rung(tmp_path, capsys):
+    stream = tmp_path / "devices.jsonl"
+    stream.write_text("\n".join(_serve_device_lines()) + "\n")
+    code, out = run_cli(
+        capsys, "serve", str(stream), "--shards", "1",
+        "--strategies", "single-fix,ihs",
+    )
+    assert code == 0
+    assert all(
+        json.loads(line)["status"] == "ok" for line in out.splitlines()
+    )
+
+
 def test_serve_unknown_design_exits_zero_by_default(tmp_path, capsys):
     # The stream was served end to end; per-device failures are data in
     # the result records, not a process failure (use --strict to gate).
