@@ -531,6 +531,14 @@ WORKERS_GATE_RATIO = 1.5
 #: is relative throughput of complete enumerations, not tail-cutting.
 WORKERS_TIMEOUT = 240.0
 
+#: Admission bound of each worker in the timed process-mode pass: 3
+#: queued plus the one running keeps 4 attempts in flight per worker,
+#: the depth this leg has always measured at.  The fleet lists its 7
+#: sim6669 devices first, so the submitter blocks behind the sim6669
+#: worker until it has room; a shallower bound starts the sim38417
+#: worker later and measures that, not parallel speedup.
+WORKERS_QUEUE_SIZE = 3
+
 #: Worker count for the kill-worker chaos sub-leg: killing one of three
 #: leaves two survivors to absorb the rerouted backlog.
 WORKERS_CHAOS_WORKERS = 3
@@ -592,7 +600,7 @@ def run_workers_leg(
     # pool is a long-lived server, its startup is not per-fleet cost.
     pool = ProcessDiagnosisService(
         n_workers=n_workers,
-        worker_shards=1,
+        queue_size=WORKERS_QUEUE_SIZE,
         strategies=("bsat",),
         policy="complete",
         timeout=WORKERS_TIMEOUT,
@@ -643,9 +651,7 @@ def run_workers_leg(
     # Build-once per design *per owning worker*: fleet-wide each design
     # skeleton is built exactly once, and only inside one worker.
     builds_by_worker = {
-        name: (block.get("service") or {})
-        .get("design_cache", {})
-        .get("skeleton_builds", {})
+        name: block.get("skeleton_builds", {})
         for name, block in stats.get("workers", {}).items()
     }
     for design, _, _ in WORKERS_FLEET:
@@ -727,7 +733,6 @@ def run_workers_chaos(
     journal = ResultJournal(path)
     pool = ProcessDiagnosisService(
         n_workers=WORKERS_CHAOS_WORKERS,
-        worker_shards=1,
         strategies=("bsat",),
         policy="complete",
         timeout=WORKERS_TIMEOUT,
@@ -763,7 +768,6 @@ def run_workers_chaos(
     replay = read_journal(path)
     resumed = ProcessDiagnosisService(
         n_workers=2,
-        worker_shards=1,
         strategies=("bsat",),
         policy="complete",
         timeout=WORKERS_TIMEOUT,

@@ -462,6 +462,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.resume and not args.journal:
         raise SystemExit("error: --resume requires --journal")
+    if args.workers and args.shards is not None:
+        raise SystemExit(
+            "error: --shards counts thread executors; with --workers each "
+            "worker process is one executor, so drop --shards"
+        )
     resume_from = None
     if args.resume and Path(args.journal).exists():
         resume_from = read_journal(args.journal)
@@ -471,11 +476,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             if args.workers:
                 # Process mode: designs are sharded across worker
-                # processes, --shards becomes each worker's internal
-                # thread-shard count.
+                # processes, each one executor.
                 service = ProcessDiagnosisService(
                     n_workers=args.workers,
-                    worker_shards=args.shards,
                     strategies=strategies,
                     policy=args.policy,
                     timeout=args.timeout,
@@ -487,7 +490,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
             else:
                 service = DiagnosisService(
-                    n_shards=args.shards,
+                    n_shards=2 if args.shards is None else args.shards,
                     strategies=strategies,
                     policy=args.policy,
                     timeout=args.timeout,
@@ -636,14 +639,15 @@ def build_parser() -> argparse.ArgumentParser:
         "failing device with id, design, tests (see repro.serve.intake)",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=2,
-        help="worker shards, each with a bounded queue (default: 2)",
+        "--shards", type=int, default=None,
+        help="thread executors of the in-process service, each with a "
+        "bounded queue (default: 2); not combinable with --workers",
     )
     p_serve.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="worker processes sharding *designs* across cores; each "
-        "worker runs --shards thread shards over its design subset "
-        "(0: current in-process thread mode, the default)",
+        help="serve on N worker processes instead of thread shards, "
+        "sharding *designs* across cores; each worker is one executor "
+        "(0: in-process thread mode, the default)",
     )
     p_serve.add_argument(
         "--strategies", default=",".join(_SERVE_STRATEGIES),
@@ -661,11 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-attempt deadline; expired attempts retry on another "
-        "shard (default: none)",
+        "shard or worker (default: none)",
     )
     p_serve.add_argument(
         "--retries", type=int, default=1,
-        help="extra attempts after a timeout or shard death (default: 1)",
+        help="extra attempts after a timeout or a shard/worker death "
+        "(default: 1)",
     )
     p_serve.add_argument(
         "--solver-backend", default=None, metavar="NAME",
@@ -700,10 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--stats", action="store_true",
-        help="print the service/shard/design-cache counters to stderr "
-        "(includes degraded / journal_replayed / intake_skipped; in "
-        "process mode also per-worker processed and queue_high_water, "
-        "so routing skew is visible)",
+        help="print the service/executor/design-cache counters to "
+        "stderr (includes degraded / journal_replayed / intake_skipped, "
+        "and per-shard or per-worker processed, queue_high_water and "
+        "alive, so routing skew is visible)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -16,15 +16,19 @@ service layers:
 ``race``
     :func:`race_device` — the strategy ladder, run inline per device,
     with cooperative ``should_stop``/budget cancellation.
-``shard``
-    :class:`ServiceShard` — worker threads with bounded queues.
 ``service``
-    :class:`DiagnosisService` — routing, deadline/retry, exactly-once
-    result stream, observability counters.
+    :class:`DiagnosisService` — the one dispatcher: routing,
+    deadline/retry, dead-executor rescue, exactly-once result stream,
+    degradation, journal, counters; :class:`DeviceResult` and its one
+    record codec.
+``shard``
+    The executor protocol, the per-attempt function every executor
+    runs, and :class:`ServiceShard` — a thread executor with a bounded
+    queue.
 ``procpool``
-    :class:`ProcessDiagnosisService` — design-sharded worker
-    *processes* (each running the thread service over its design
-    subset) for core-bound workloads; ``serve --workers N``.
+    :class:`ProcessDiagnosisService` — the same dispatcher over
+    worker-*process* executors (one per process, designs sharded
+    across them) for core-bound workloads; ``serve --workers N``.
 ``journal``
     :class:`ResultJournal` — fsync-batched JSONL WAL of accepted and
     resolved devices; :func:`read_journal` replays it on resume for

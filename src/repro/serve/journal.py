@@ -67,6 +67,14 @@ __all__ = [
 #: (they carry answers); other statuses re-run.
 REPLAYABLE_STATUSES = ("ok", "degraded")
 
+#: The :meth:`~repro.serve.service.DeviceResult.to_record` keys a
+#: ``resolved`` record keeps: enough to replay the answer, nothing
+#: about the run that produced it.
+RESOLVED_FIELDS = (
+    "id", "design", "status", "answer", "cardinality", "solutions",
+    "winner", "degraded_rung", "validity", "error",
+)
+
 
 def signature_key(signature: tuple) -> str:
     """Stable hex key for one failure signature.
@@ -258,24 +266,12 @@ class ResultJournal:
 
     def resolved(self, key: str, result) -> None:
         """Record a final :class:`DeviceResult` under its signature key."""
+        record = result.to_record()
         self._append(
             {
                 "type": "resolved",
                 "sig": key,
-                "id": result.device_id,
-                "design": result.design,
-                "status": result.status,
-                "answer": (
-                    list(result.answer)
-                    if result.answer is not None
-                    else None
-                ),
-                "cardinality": result.cardinality,
-                "solutions": _encode_solutions(result.solutions),
-                "winner": result.winner,
-                "degraded_rung": result.degraded_rung,
-                "validity": result.validity,
-                "error": result.error,
+                **{name: record[name] for name in RESOLVED_FIELDS},
             }
         )
 

@@ -1,25 +1,23 @@
-"""The sharded asynchronous diagnosis service.
+"""The diagnosis service: one dispatcher over a list of executors.
 
-Orchestration only — the diagnosis itself happens in the shards
-(:mod:`repro.serve.shard`), each running a device's strategy ladder
-inline (:mod:`repro.serve.race`).  The service owns:
+:class:`DiagnosisService` is the only orchestrator.  The diagnosis
+itself happens in its executors (:mod:`repro.serve.shard`): thread
+shards here, worker processes in
+:class:`~repro.serve.procpool.ProcessDiagnosisService`, which differs
+only in the executors it builds.  The dispatcher owns:
 
-* **Routing**: each device goes to a shard chosen by a stable hash of
-  its design, so all devices of one design share that shard's warm
-  sessions and the global :class:`~repro.serve.design.DesignCache`
-  artifacts; retries rotate to a *different* shard.
+* **Routing**: each device goes to an executor chosen by a stable hash
+  of its design, so all devices of one design share that executor's
+  warm artifacts; retries rotate to a *different* executor.
 * **Deadline/retry**: a watchdog thread cancels attempts past their
-  deadline (the running rung stops at its next ``should_stop`` poll) and
-  re-queues the device elsewhere, up to ``max_attempts``; a shard that
-  dies (:class:`~repro.serve.shard.ShardKilled`) has its in-flight
-  device and queued backlog re-routed the same way.
+  deadline (the running rung stops at its next ``should_stop`` poll)
+  and retries the device elsewhere, up to ``max_attempts``; an executor
+  that dies hands back its in-flight attempt (retried) and its backlog
+  (re-routed).
 * **Exactly-once**: every device resolves to exactly one
   :class:`DeviceResult` however many attempts raced for it — the first
   resolution wins under the service lock, late/duplicate attempt
   results are counted and dropped.
-* **Batching**: resolved answers are memoized per (design, failure
-  signature); identical-signature devices collapse onto the first
-  one's uint64-lane simulation and ladder.
 * **Degradation**: a device that exhausts every attempt does not
   produce an empty ``timeout`` — the degradation ladder
   (:mod:`repro.serve.degrade`) salvages a bounded approximate answer or
@@ -29,26 +27,37 @@ inline (:mod:`repro.serve.race`).  The service owns:
   every accepted device and resolution is appended to a fsync-batched
   WAL; resuming from its replay skips already-resolved signatures —
   exactly-once across process death.
-* **Observability**: per-shard and service-wide counters
+* **Observability**: dispatcher counters plus each executor's own
   (:meth:`DiagnosisService.stats`).
+
+:class:`DeviceResult` carries the one result codec:
+:meth:`~DeviceResult.to_record` / :meth:`~DeviceResult.from_record`
+feed the CLI line, the journal record and journal replay.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from ..diagnosis.core import DiagnosisSession
 from ..sat.backends import resolve_backend
 from .degrade import run_degradation_ladder
-from .design import DesignArtifacts, DesignCache
+from .design import DesignCache
 from .intake import DeviceReport, signature_seed
-from .journal import JournalReplay, ResultJournal, signature_key
+from .journal import (
+    JournalReplay,
+    ResultJournal,
+    _decode_solutions,
+    _encode_solutions,
+    signature_key,
+)
 from .race import DEFAULT_STRATEGIES, RUNGS, RaceOutcome
-from .shard import ServiceShard
+from .shard import Executor, Ladder, ServiceShard
 
 __all__ = ["DeviceResult", "DiagnosisService"]
 
@@ -58,6 +67,10 @@ def _eager_warm_up() -> None:
     from ..sat import compiled
 
     compiled.warm_up()
+
+
+#: DeviceResult field -> record key, where they differ.
+_RECORD_KEYS = {"device_id": "id"}
 
 
 @dataclass
@@ -72,12 +85,14 @@ class DeviceResult:
     solutions: tuple = ()
     winner: str | None = None
     attempts: int = 1
+    #: Thread shard that served the last attempt (0 in a worker
+    #: process, which runs one attempt loop).
     shard: int | None = None
     latency: float = 0.0
     cached: bool = False
     error: str | None = None
     #: Worker-process index in process mode (``serve --workers N``);
-    #: None for the in-process thread service.
+    #: None for thread shards.
     worker: int | None = None
     #: Ladder rung that produced a ``"degraded"`` result
     #: ("approximate" | "guidance"), with its validity class
@@ -88,54 +103,45 @@ class DeviceResult:
     #: resume instead of being re-diagnosed.
     journal_replayed: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.device_id,
-            "design": self.design,
-            "status": self.status,
-            "answer": list(self.answer) if self.answer is not None else None,
-            "cardinality": self.cardinality,
-            "n_solutions": len(self.solutions),
-            "winner": self.winner,
-            "attempts": self.attempts,
-            "shard": self.shard,
-            "latency": self.latency,
-            "cached": self.cached,
-            "error": self.error,
-            "worker": self.worker,
-            "degraded_rung": self.degraded_rung,
-            "validity": self.validity,
-            "journal_replayed": self.journal_replayed,
+    def to_record(self) -> dict:
+        """Every field as JSON-shaped data, in field order: the one
+        encoding of a result (``answer`` a list, ``solutions`` sorted
+        lists, ``device_id`` keyed ``"id"``)."""
+        record = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "answer" and value is not None:
+                value = list(value)
+            elif f.name == "solutions":
+                value = _encode_solutions(value)
+            record[_RECORD_KEYS.get(f.name, f.name)] = value
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict, **overrides) -> "DeviceResult":
+        """Invert :meth:`to_record`.  Keys the record lacks (a journal
+        record keeps only the answer-bearing ones) take their defaults;
+        ``overrides`` set fields directly."""
+        values = {
+            f.name: record[_RECORD_KEYS.get(f.name, f.name)]
+            for f in fields(cls)
+            if _RECORD_KEYS.get(f.name, f.name) in record
         }
+        if values.get("answer") is not None:
+            values["answer"] = tuple(values["answer"])
+        values["solutions"] = _decode_solutions(values.get("solutions", ()))
+        values.update(overrides)
+        return cls(**values)
 
-
-class _LinkedCancel:
-    """Event-shaped cancel flag linked to an externally owned event.
-
-    Process mode hands the service one external cancel event per device
-    (set by the parent's control message).  ``set()`` flips only the
-    local per-attempt flag — a retry gets a fresh local flag and must
-    not be pre-cancelled by its predecessor — while ``is_set()`` ORs in
-    the external event, so a parent-sent cancel reaches the running
-    rung's ``Budget.should_stop`` polls mid-solve exactly like a watchdog
-    deadline does.
-    """
-
-    __slots__ = ("_local", "_external")
-
-    def __init__(self, external: threading.Event) -> None:
-        self._local = threading.Event()
-        self._external = external
-
-    def set(self) -> None:
-        self._local.set()
-
-    def is_set(self) -> bool:
-        return self._local.is_set() or self._external.is_set()
-
-    @property
-    def external_set(self) -> bool:
-        return self._external.is_set()
+    def to_dict(self) -> dict:
+        """The CLI's JSON line: the record with ``n_solutions`` in place
+        of the solution sets."""
+        return {
+            ("n_solutions" if key == "solutions" else key): (
+                len(value) if key == "solutions" else value
+            )
+            for key, value in self.to_record().items()
+        }
 
 
 @dataclass(eq=False)
@@ -143,7 +149,10 @@ class _Attempt:
     device: DeviceReport
     state: "_DeviceState"
     number: int
-    shard_index: int
+    #: Unique per service, so a late reply can never be taken for a
+    #: later attempt.
+    key: int
+    executor: Executor
     cancel: threading.Event = field(default_factory=threading.Event)
     deadline: float | None = None
 
@@ -160,12 +169,12 @@ class _DeviceState:
 
 
 class DiagnosisService:
-    """Sharded, racing, exactly-once diagnosis over a device stream.
+    """Sharded, exactly-once diagnosis over a device stream.
 
     Parameters
     ----------
     n_shards:
-        Worker threads (each with a bounded queue — the queue bound is
+        Executor threads (each with a bounded queue — the queue bound is
         the admission control that keeps reported latencies honest).
     strategies:
         The ladder of rungs tried in order per device, first rung with
@@ -177,9 +186,13 @@ class DiagnosisService:
         ``"complete"`` — each rung runs to completion (use with one
         strategy for reference answers).
     timeout:
-        Per-attempt deadline in seconds (None: no watchdog).
+        Per-attempt deadline in seconds, counted from dispatch (None: no
+        watchdog).
     max_attempts:
         Total attempts per device (1 = no retry).
+    queue_size:
+        Attempts an executor may hold that it has not started; past it
+        :meth:`run` blocks (backpressure).
     conflict_poll_interval:
         Solver-level cancellation granularity: every rung carries a
         :class:`~repro.sat.budget.Budget` polled at least this often
@@ -200,25 +213,22 @@ class DiagnosisService:
         usually ``read_journal(path)`` of the same file) replays
         already-resolved signatures without re-diagnosing —
         exactly-once across process death.
+    design_cache:
+        The artifacts the shards share and the degradation ladder uses.
     fault_hook:
         Chaos/test injection: ``hook(shard_index, attempt)`` called
-        before each attempt is processed; may sleep (hang) or raise
+        before a shard processes each attempt; may sleep (hang) or raise
         :class:`~repro.serve.shard.ShardKilled` (crash).  See
         :mod:`repro.serve.chaos`.
-    external_cancels:
-        Mutable mapping ``device_id -> threading.Event`` consulted at
-        dispatch: when a device has an entry its attempts carry a
-        cancel flag linked to that event, and setting the event (the
-        process-mode parent does, on a cancel message) stops the
-        in-flight ladder mid-solve and resolves the device as
-        ``status="timeout"`` without retry or degradation — the parent
-        asked the device to be abandoned, not salvaged.
 
     Constructing the service with an ``arena-jit`` backend eagerly
     JIT-compiles the kernels (``sat.compiled.warm_up()``) so the
     compile cost lands at construction time, never on the first
     device's latency.
     """
+
+    #: What the executors are called in counters and stats.
+    executor_kind = "shard"
 
     def __init__(
         self,
@@ -236,18 +246,17 @@ class DiagnosisService:
         design_cache: DesignCache | None = None,
         solver_backend: str | None = None,
         fault_hook=None,
-        external_cancels: dict[str, threading.Event] | None = None,
     ) -> None:
         if n_shards < 1:
-            raise ValueError("n_shards must be at least 1")
+            raise ValueError(f"n_{self.executor_kind}s must be at least 1")
         if policy not in ("first", "complete"):
             raise ValueError("policy must be 'first' or 'complete'")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        self.strategies = tuple(strategies)
-        if not self.strategies:
+        strategies = tuple(strategies)
+        if not strategies:
             raise ValueError("at least one strategy is required")
-        for name in self.strategies:
+        for name in strategies:
             if name not in RUNGS:
                 raise ValueError(
                     f"unknown strategy {name!r} (expected one of "
@@ -255,11 +264,15 @@ class DiagnosisService:
                 )
         if conflict_poll_interval < 1:
             raise ValueError("conflict_poll_interval must be at least 1")
-        self.policy = policy
+        self.ladder = Ladder(
+            strategies=strategies,
+            first_only=policy == "first",
+            conflict_poll_interval=conflict_poll_interval,
+            solver_backend=solver_backend,
+        )
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.queue_size = queue_size
-        self.conflict_poll_interval = conflict_poll_interval
         self.degrade = degrade
         self.degrade_budget = degrade_budget
         self.journal = journal
@@ -269,36 +282,36 @@ class DiagnosisService:
             design_cache if design_cache is not None else DesignCache()
         )
         self.fault_hook = fault_hook
-        self.external_cancels = external_cancels
-        if resolve_backend(solver_backend) == "arena-jit":
-            # Pay the JIT compile now, off every device's latency path
-            # (idempotent: a warm process returns immediately).
-            _eager_warm_up()
-        self._shards = [
-            ServiceShard(i, self, queue_size=queue_size)
-            for i in range(n_shards)
-        ]
         self._lock = threading.Lock()
         self._memo_lock = threading.Lock()
+        self._keys = itertools.count()
         self._inflight: set[_Attempt] = set()
         self._states: dict[str, _DeviceState] = {}
         self._resolved_count = 0
         self._all_done = threading.Event()
         self._stopping = threading.Event()
-        self._watchdog: threading.Thread | None = None
         self.counters = {
             "devices": 0,
             "timeouts": 0,
             "retries": 0,
-            "shard_deaths": 0,
+            f"{self.executor_kind}_deaths": 0,
+            "reroutes": 0,
+            "cancels_sent": 0,
             "failures": 0,
             "duplicate_results_dropped": 0,
             "late_results_dropped": 0,
-            "memo_stores": 0,
             "degraded": 0,
             "journal_replayed": 0,
             "race_winners": {},
         }
+        self._executors: list[Executor] = self._make_executors(n_shards)
+
+    def _make_executors(self, n: int) -> list[Executor]:
+        if resolve_backend(self.solver_backend) == "arena-jit":
+            # Pay the JIT compile now, off every device's latency path
+            # (idempotent: a warm process returns immediately).
+            _eager_warm_up()
+        return [ServiceShard(i, self, self.queue_size) for i in range(n)]
 
     # ------------------------------------------------------------------
     # public API
@@ -321,26 +334,16 @@ class DiagnosisService:
                 self._states[device.device_id] = _DeviceState(
                     device=device, order=order
                 )
-        for i, shard in enumerate(self._shards):
-            if shard.is_alive():
-                continue
-            if shard.ident is not None:
-                # A previous run() finished (or killed) this worker;
-                # threads are one-shot, so replace it, carrying the
-                # cumulative counters over.
-                fresh = ServiceShard(
-                    shard.index, self, queue_size=self.queue_size
-                )
-                fresh.stats = shard.stats
-                self._shards[i] = shard = fresh
-            shard.start()
-        if self.timeout is not None and self._watchdog is None:
-            self._watchdog = threading.Thread(
+        for executor in self._executors:
+            executor.start()
+        watchdog = None
+        if self.timeout is not None:
+            watchdog = threading.Thread(
                 target=self._watchdog_loop,
                 name="repro-serve-watchdog",
                 daemon=True,
             )
-            self._watchdog.start()
+            watchdog.start()
         try:
             for device in device_list:
                 state = self._states[device.device_id]
@@ -353,55 +356,79 @@ class DiagnosisService:
                         device.design,
                         signature_key(device.signature()),
                     )
-                self._dispatch(state)
+                try:
+                    self._dispatch(state, block=True)
+                except RuntimeError as exc:  # no live executors remain
+                    self._resolve(
+                        state, self._result(state, None, "timeout",
+                                            error=str(exc))
+                    )
             self._all_done.wait()
         finally:
-            self._shutdown()
+            self._stopping.set()
+            if watchdog is not None:
+                watchdog.join(timeout=1.0)
+            for executor in self._executors:
+                executor.stop()
+            self._stopping.clear()
             if self.journal is not None:
                 self.journal.flush()
-        ordered = sorted(
-            (s for s in self._states.values()), key=lambda s: s.order
-        )
+        ordered = sorted(self._states.values(), key=lambda s: s.order)
         results = [s.result for s in ordered]
         with self._lock:
             self._states.clear()
+            self._inflight.clear()
             self._resolved_count = 0
             self._all_done.clear()
         return results
 
+    def cancel_device(self, device_id: str) -> bool:
+        """Abandon ``device_id``: stop its running attempt mid-solve and
+        resolve it ``timeout`` ("externally cancelled") now, with no
+        retry and no degradation; the attempt's late outcome is dropped.
+
+        True when the device was in flight and unresolved.
+        """
+        with self._lock:
+            state = self._states.get(device_id)
+            attempt = state.current_attempt if state is not None else None
+        if attempt is None or not self._retry_or_fail(
+            state, attempt, error="externally cancelled", abandoned=True
+        ):
+            return False
+        with self._lock:
+            self.counters["cancels_sent"] += 1
+        return True
+
     def stats(self) -> dict:
-        """Service + shard + design-cache counters (JSON-friendly)."""
-        shard_stats = {
-            f"shard{s.index}": dict(s.stats) for s in self._shards
+        """Dispatcher + executor + design-cache counters (JSON-friendly)."""
+        blocks = {
+            f"{e.kind}{e.index}": e.snapshot() for e in self._executors
         }
-        signature_hits = sum(
-            s.stats["signature_hits"] for s in self._shards
-        )
-        cancelled_legs = sum(
-            s.stats["cancelled_legs"] for s in self._shards
-        )
-        skipped_legs = sum(
-            s.stats["skipped_legs"] for s in self._shards
-        )
+        with self._lock:
+            counters = {
+                k: (dict(v) if isinstance(v, dict) else v)
+                for k, v in self.counters.items()
+            }
+        for key in (
+            "signature_hits", "cancelled_legs", "skipped_legs", "memo_stores"
+        ):
+            counters[key] = sum(b[key] for b in blocks.values())
+        cache = self.design_cache
         return {
-            **{k: v for k, v in self.counters.items()},
-            "signature_hits": signature_hits,
-            "cancelled_legs": cancelled_legs,
-            "skipped_legs": skipped_legs,
+            **counters,
             **(
                 {"journal": dict(self.journal.stats)}
                 if self.journal is not None
                 else {}
             ),
             "design_cache": {
-                "designs_built": self.design_cache.stats["designs_built"],
-                "design_hits": self.design_cache.stats["design_hits"],
-                "skeleton_builds": dict(
-                    self.design_cache.stats["skeleton_builds"]
-                ),
-                "memo_evictions": self.design_cache.memo_evictions(),
+                "designs_built": cache.stats["designs_built"],
+                "design_hits": cache.stats["design_hits"],
+                "skeleton_builds": dict(cache.stats["skeleton_builds"]),
+                "memo_evictions": cache.memo_evictions(),
             },
-            "shards": shard_stats,
+            f"{self.executor_kind}s": blocks,
         }
 
     # ------------------------------------------------------------------
@@ -419,30 +446,17 @@ class DiagnosisService:
         )
         if record is None:
             return False
-        from .journal import _decode_solutions
-
         with self._lock:
             self.counters["journal_replayed"] += 1
         self._resolve(
             state,
-            DeviceResult(
+            DeviceResult.from_record(
+                record,
                 device_id=device.device_id,
-                design=device.design,
-                status=record["status"],
-                answer=(
-                    tuple(record["answer"])
-                    if record["answer"] is not None
-                    else None
-                ),
-                cardinality=record["cardinality"],
-                solutions=_decode_solutions(record["solutions"]),
-                winner=record["winner"],
                 attempts=0,
-                shard=None,
                 latency=time.monotonic() - state.submitted_at,
                 cached=True,
-                degraded_rung=record.get("degraded_rung"),
-                validity=record.get("validity"),
+                error=None,
                 journal_replayed=True,
             ),
         )
@@ -453,27 +467,31 @@ class DiagnosisService:
     # ------------------------------------------------------------------
     def _route(
         self, design: str, attempt_number: int, exclude: int | None
-    ) -> ServiceShard:
-        alive = [s for s in self._shards if s.alive_for_routing]
+    ) -> Executor:
+        alive = [e for e in self._executors if e.alive]
         if not alive:
-            raise RuntimeError("no live shards remain")
-        pool = alive
-        if exclude is not None and len(alive) > 1:
-            pool = [s for s in alive if s.index != exclude] or alive
+            raise RuntimeError(f"no live {self.executor_kind}s remain")
+        pool = [e for e in alive if e.index != exclude] or alive
         idx = (
             zlib.crc32(design.encode("utf-8")) + (attempt_number - 1)
         ) % len(pool)
         return pool[idx]
 
     def _dispatch(
-        self, state: _DeviceState, exclude: int | None = None
+        self,
+        state: _DeviceState,
+        exclude: int | None = None,
+        block: bool = False,
     ) -> None:
+        """Start the device's next attempt.  ``block`` waits out the
+        executor's backpressure (the client's submit loop); retries
+        from executor and watchdog threads never wait."""
         with self._lock:
             if state.resolved:
                 return
             state.attempts += 1
             number = state.attempts
-        shard = self._route(state.device.design, number, exclude)
+        executor = self._route(state.device.design, number, exclude)
         deadline = (
             time.monotonic() + self.timeout
             if self.timeout is not None
@@ -483,57 +501,39 @@ class DiagnosisService:
             device=state.device,
             state=state,
             number=number,
-            shard_index=shard.index,
+            key=next(self._keys),
+            executor=executor,
             deadline=deadline,
         )
-        if self.external_cancels is not None:
-            external = self.external_cancels.get(state.device.device_id)
-            if external is not None:
-                attempt.cancel = _LinkedCancel(external)
         with self._lock:
             state.current_attempt = attempt
             if deadline is not None:
                 self._inflight.add(attempt)
-        self._submit(shard, attempt)
+        self._submit(attempt, executor, block)
 
-    def _submit(self, shard: ServiceShard, attempt: _Attempt) -> None:
-        # Bounded-queue backpressure with a liveness check: if the
-        # target shard dies while we wait, re-route instead of blocking
-        # forever.
-        while True:
-            try:
-                shard.submit(attempt, timeout=0.05)
-                return
-            except Exception:
-                if attempt.state.resolved or attempt.cancel.is_set():
-                    return
-                if not shard.alive_for_routing or not shard.is_alive():
-                    shard = self._route(
-                        attempt.device.design,
-                        attempt.number + 1,
-                        shard.index,
-                    )
-                    attempt.shard_index = shard.index
-
-    # ------------------------------------------------------------------
-    # shard callbacks
-    # ------------------------------------------------------------------
-    def _memo_lookup(
-        self, artifacts: DesignArtifacts, signature: tuple
-    ) -> dict | None:
-        with self._memo_lock:
-            return artifacts.result_memo.get(signature)
-
-    def _memo_store(
-        self, artifacts: DesignArtifacts, signature: tuple, memo: dict
+    def _submit(
+        self, attempt: _Attempt, executor: Executor, block: bool
     ) -> None:
-        with self._memo_lock:
-            if artifacts.result_memo.store(signature, memo):
-                self.counters["memo_stores"] += 1
+        # Bounded-queue backpressure with a liveness check: if the
+        # target executor dies while we wait, re-route instead of
+        # blocking forever.
+        while True:
+            attempt.executor = executor
+            if executor.submit(attempt, 0.05 if block else None):
+                return
+            if attempt.state.resolved or attempt.cancel.is_set():
+                return
+            if not executor.alive:
+                executor = self._route(
+                    attempt.device.design, attempt.number + 1, executor.index
+                )
 
+    # ------------------------------------------------------------------
+    # executor callbacks
+    # ------------------------------------------------------------------
     def _attempt_finished(
         self,
-        shard: ServiceShard,
+        executor: Executor,
         attempt: _Attempt,
         memo: dict | None,
         outcome: RaceOutcome | None,
@@ -542,207 +542,126 @@ class DiagnosisService:
         with self._lock:
             self._inflight.discard(attempt)
         if memo is not None:
-            self._resolve(state, self._result_from_memo(state, attempt, memo))
+            self._resolve(state, self._result(
+                state, attempt, "ok", cached=True, **memo
+            ))
             return
-        assert outcome is not None
-        lost_race = outcome.answer is None and (
-            outcome.cancelled or outcome.timed_out
-        )
-        if lost_race:
-            with self._lock:
-                stale = (
-                    state.resolved or state.current_attempt is not attempt
-                )
-            if stale:
-                # The watchdog already re-queued (or resolved) this
-                # device; the cancelled attempt's empty outcome is late.
+        if outcome.cancelled:
+            if not self._retry_or_fail(
+                state, attempt, error=f"deadline exceeded on {executor}",
+                timed_out=True,
+            ):
+                # The watchdog (or a cancel) already moved on from this
+                # attempt: its empty outcome is late.
                 with self._lock:
                     self.counters["late_results_dropped"] += 1
-                return
-            self._handle_timeout(state, attempt)
             return
-        result = self._result_from_outcome(state, attempt, outcome)
-        if self._resolve(state, result) and result.status == "ok":
-            artifacts = self.design_cache.get(attempt.device.design)
-            self._memo_store(
-                artifacts,
-                attempt.device.signature(),
-                {
-                    "answer": result.answer,
-                    "cardinality": result.cardinality,
-                    "solutions": result.solutions,
-                    "winner": result.winner,
-                },
-            )
+        self._resolve(state, self._result(
+            state,
+            attempt,
+            "ok",
+            answer=outcome.answer,
+            cardinality=(
+                len(outcome.answer) if outcome.answer is not None else None
+            ),
+            solutions=outcome.solutions,
+            winner=outcome.winner,
+        ))
 
     def _attempt_error(
-        self, shard: ServiceShard, attempt: _Attempt, exc: Exception
+        self, executor: Executor, attempt: _Attempt, error: str
     ) -> None:
         # Deterministic processing error (unknown design, inconsistent
         # tests): retrying elsewhere cannot help — resolve as an error.
-        state = attempt.state
         with self._lock:
             self._inflight.discard(attempt)
-            self.counters["failures"] += 1
         self._resolve(
-            state,
-            DeviceResult(
-                device_id=state.device.device_id,
-                design=state.device.design,
-                status="error",
-                attempts=attempt.number,
-                shard=shard.index,
-                latency=time.monotonic() - state.submitted_at,
-                error=f"{type(exc).__name__}: {exc}",
-            ),
+            attempt.state,
+            self._result(attempt.state, attempt, "error", error=error),
         )
 
-    def _shard_died(
-        self, shard: ServiceShard, attempt: _Attempt, exc: Exception
-    ) -> None:
-        shard.alive_for_routing = False
+    def _executor_died(self, executor: Executor, reason) -> None:
+        """Rescue what a dead executor held: its running attempt died
+        with it and retries elsewhere; attempts it never started are
+        re-routed with their attempt number."""
+        running, queued = executor.take_stranded()
         with self._lock:
-            self.counters["shard_deaths"] += 1
-            self._inflight.discard(attempt)
-        # The in-flight device retries elsewhere (its attempt died with
-        # the shard)...
-        self._retry_or_fail(
-            attempt.state, attempt,
-            error=f"shard {shard.index} died: {exc}",
-        )
-        # ...and the dead shard's queued backlog is re-routed wholesale
-        # (those attempts never started; they keep their attempt number).
-        while True:
-            try:
-                item = shard.queue.get_nowait()
-            except Exception:
-                break
-            if item is None or not isinstance(item, _Attempt):
-                continue
-            target = self._route(
-                item.device.design, item.number, shard.index
+            self.counters[f"{self.executor_kind}_deaths"] += 1
+            self.counters["reroutes"] += len(queued) + (running is not None)
+        if running is not None:
+            self._retry_or_fail(
+                running.state, running, error=f"{executor} died: {reason}"
             )
-            item.shard_index = target.index
-            self._submit(target, item)
+        for attempt in queued:
+            state = attempt.state
+            if state.resolved or state.current_attempt is not attempt:
+                continue
+            try:
+                self._submit(attempt, self._route(
+                    attempt.device.design, attempt.number, executor.index
+                ), block=False)
+            except RuntimeError as exc:  # no live executors remain
+                self._retry_or_fail(state, attempt, error=str(exc))
 
     # ------------------------------------------------------------------
     # watchdog / retry / exactly-once
     # ------------------------------------------------------------------
     def _watchdog_loop(self) -> None:
         interval = min(0.02, (self.timeout or 1.0) / 5)
-        while not self._stopping.is_set():
+        while not self._stopping.wait(interval):
             now = time.monotonic()
             with self._lock:
-                expired = [
-                    a
-                    for a in self._inflight
-                    if a.deadline is not None and now >= a.deadline
-                ]
+                expired = [a for a in self._inflight if now >= a.deadline]
                 for a in expired:
                     self._inflight.discard(a)
             for attempt in expired:
-                attempt.cancel.set()
-                state = attempt.state
-                with self._lock:
-                    if (
-                        state.resolved
-                        or state.current_attempt is not attempt
-                    ):
-                        continue
-                    self.counters["timeouts"] += 1
                 self._retry_or_fail(
-                    state, attempt,
-                    error=f"deadline exceeded on shard "
-                    f"{attempt.shard_index}",
+                    attempt.state, attempt,
+                    error=f"deadline exceeded on {attempt.executor}",
+                    timed_out=True,
                 )
-            self._rescue_dead_shard_stragglers()
-            self._stopping.wait(interval)
-
-    def _rescue_dead_shard_stragglers(self) -> None:
-        """Re-route attempts parked in a dead shard's queue.
-
-        ``_shard_died`` drains the dead shard's backlog, but a submitter
-        blocked on that queue's backpressure can still land an attempt
-        *after* the drain (the death and the put race).  Whoever pops an
-        item off the queue owns it, so draining again here is safe — and
-        turns a straggler's worst case from its full attempt deadline
-        into one watchdog tick.
-        """
-        for shard in self._shards:
-            if shard.alive_for_routing:
-                continue
-            while True:
-                try:
-                    item = shard.queue.get_nowait()
-                except Exception:
-                    break
-                if not isinstance(item, _Attempt) or item.state.resolved:
-                    continue
-                try:
-                    target = self._route(
-                        item.device.design, item.number, shard.index
-                    )
-                except RuntimeError:  # no live shards remain
-                    self._retry_or_fail(
-                        item.state, item,
-                        error="no live shards remain",
-                    )
-                    continue
-                item.shard_index = target.index
-                self._submit(target, item)
-
-    def _handle_timeout(self, state: _DeviceState, attempt: _Attempt) -> None:
-        with self._lock:
-            self.counters["timeouts"] += 1
-        self._retry_or_fail(
-            state, attempt,
-            error=f"deadline exceeded on shard {attempt.shard_index}",
-        )
 
     def _retry_or_fail(
-        self, state: _DeviceState, attempt: _Attempt, error: str
-    ) -> None:
-        attempt.cancel.set()
-        # An externally cancelled device is abandoned on request — no
-        # retry (the next attempt would inherit the set external flag
-        # and spin) and no degradation ladder (the canceller wants the
-        # slot back now, not a salvaged answer later).
-        abandoned = getattr(attempt.cancel, "external_set", False)
+        self,
+        state: _DeviceState,
+        attempt: _Attempt,
+        error: str,
+        timed_out: bool = False,
+        abandoned: bool = False,
+    ) -> bool:
+        """The attempt failed: retry elsewhere, else degrade, else
+        resolve ``timeout``.  An ``abandoned`` device (cancelled on
+        request) neither retries nor degrades.
+
+        Exactly one caller handles each attempt's failure (the watchdog,
+        its executor, a death or a cancel may all try): False for the
+        others.
+        """
+        attempt.executor.cancel(attempt)
         with self._lock:
+            self._inflight.discard(attempt)
             if state.resolved or state.current_attempt is not attempt:
-                return
+                return False
+            state.current_attempt = None
+            if timed_out:
+                self.counters["timeouts"] += 1
             retry = not abandoned and state.attempts < self.max_attempts
             if retry:
                 self.counters["retries"] += 1
-        if abandoned:
-            error = "externally cancelled"
         if retry:
             try:
-                self._dispatch(state, exclude=attempt.shard_index)
-                return
-            except RuntimeError as exc:  # no live shards remain
+                self._dispatch(state, exclude=attempt.executor.index)
+                return True
+            except RuntimeError as exc:  # no live executors remain
                 error = f"{error}; retry impossible ({exc})"
+        result = None
         if self.degrade and not abandoned:
-            degraded = self._degrade(state, attempt, error)
-            if degraded is not None:
-                with self._lock:
-                    self.counters["degraded"] += 1
-                self._resolve(state, degraded)
-                return
-        with self._lock:
-            self.counters["failures"] += 1
+            result = self._degrade(state, attempt, error)
         self._resolve(
             state,
-            DeviceResult(
-                device_id=state.device.device_id,
-                design=state.device.design,
-                status="timeout",
-                attempts=attempt.number,
-                shard=attempt.shard_index,
-                latency=time.monotonic() - state.submitted_at,
-                error=error,
-            ),
+            result or self._result(state, attempt, "timeout", error=error),
         )
+        return True
 
     def _degrade(
         self, state: _DeviceState, attempt: _Attempt, error: str
@@ -750,9 +669,9 @@ class DiagnosisService:
         """Walk the degradation ladder after the last exact attempt
         failed; None when the ladder also comes up empty.
 
-        Runs on the caller's thread (watchdog or shard) but is bounded:
-        the approximate rung carries its own ``degrade_budget`` deadline
-        Budget and the guidance rung is one vectorized sweep.
+        Runs on the caller's thread (watchdog or executor) but is
+        bounded: the approximate rung carries its own ``degrade_budget``
+        deadline Budget and the guidance rung is one vectorized sweep.
         """
         device = state.device
         try:
@@ -771,22 +690,40 @@ class DiagnosisService:
             return None
         if found is None:
             return None
-        return DeviceResult(
-            device_id=device.device_id,
-            design=device.design,
-            status="degraded",
+        return self._result(
+            state,
+            attempt,
+            "degraded",
             answer=found.answer,
             cardinality=(
                 len(found.answer) if found.answer is not None else None
             ),
             solutions=found.solutions,
-            winner=None,
-            attempts=attempt.number,
-            shard=attempt.shard_index,
-            latency=time.monotonic() - state.submitted_at,
             error=error,
             degraded_rung=found.rung,
             validity=found.validity,
+        )
+
+    def _result(
+        self,
+        state: _DeviceState,
+        attempt: _Attempt | None,
+        status: str,
+        **fields,
+    ) -> DeviceResult:
+        """A result for ``state`` stamped with its last attempt."""
+        if attempt is not None:
+            fields.update(
+                attempts=attempt.number, **attempt.executor.result_fields()
+            )
+        else:
+            fields["attempts"] = state.attempts
+        return DeviceResult(
+            device_id=state.device.device_id,
+            design=state.device.design,
+            status=status,
+            latency=time.monotonic() - state.submitted_at,
+            **fields,
         )
 
     def _resolve(self, state: _DeviceState, result: DeviceResult) -> bool:
@@ -798,7 +735,13 @@ class DiagnosisService:
                 return False
             state.resolved = True
             state.result = result
-            if result.winner is not None:
+            if result.status == "degraded":
+                self.counters["degraded"] += 1
+            elif result.status in ("timeout", "error"):
+                self.counters["failures"] += 1
+            # Only a ladder that ran wins (a memo hit inherits the win
+            # it batched onto); replayed results ran nothing.
+            if result.winner is not None and not result.journal_replayed:
                 winners = self.counters["race_winners"]
                 winners[result.winner] = winners.get(result.winner, 0) + 1
             self._resolved_count += 1
@@ -814,55 +757,3 @@ class DiagnosisService:
                 signature_key(state.device.signature()), result
             )
         return True
-
-    # ------------------------------------------------------------------
-    # result construction
-    # ------------------------------------------------------------------
-    def _result_from_outcome(
-        self, state: _DeviceState, attempt: _Attempt, outcome: RaceOutcome
-    ) -> DeviceResult:
-        return DeviceResult(
-            device_id=state.device.device_id,
-            design=state.device.design,
-            status="ok",
-            answer=outcome.answer,
-            cardinality=(
-                len(outcome.answer) if outcome.answer is not None else None
-            ),
-            solutions=outcome.solutions,
-            winner=outcome.winner,
-            attempts=attempt.number,
-            shard=attempt.shard_index,
-            latency=time.monotonic() - state.submitted_at,
-            cached=False,
-        )
-
-    def _result_from_memo(
-        self, state: _DeviceState, attempt: _Attempt, memo: dict
-    ) -> DeviceResult:
-        return DeviceResult(
-            device_id=state.device.device_id,
-            design=state.device.design,
-            status="ok",
-            answer=memo["answer"],
-            cardinality=memo["cardinality"],
-            solutions=memo["solutions"],
-            winner=memo["winner"],
-            attempts=attempt.number,
-            shard=attempt.shard_index,
-            latency=time.monotonic() - state.submitted_at,
-            cached=True,
-        )
-
-    # ------------------------------------------------------------------
-    def _shutdown(self) -> None:
-        self._stopping.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=1.0)
-            self._watchdog = None
-        for shard in self._shards:
-            if shard.is_alive():
-                shard.shutdown()
-        for shard in self._shards:
-            shard.join(timeout=1.0)
-        self._stopping.clear()

@@ -1,144 +1,302 @@
-"""One service shard: a worker thread owning a bounded device queue.
+"""Executors: where the dispatcher's attempts run.
 
-Sharding within one process is **thread-based**, deliberately.  The
-artifacts a shard needs — the design's compiled circuit, the
-master-encoding skeleton, the per-signature result memo — are large
-mutable object graphs living in the shared
-:class:`~repro.serve.design.DesignCache`; sharing them across threads
-keeps the build-once-per-design contract, and the cooperative
-``should_stop`` cancellation the strategy rungs poll only works with
-shared memory.  The thread service's throughput win is algorithmic
-(the cheapest-rung-first ladder, signature batching, skeleton reuse),
-not core-parallelism.  When the workload *is* core-bound — many
-designs, compute-heavy rungs — the scale-out lever is one level up:
-:mod:`repro.serve.procpool` shards *designs* (not devices) across
-worker processes, each worker running this thread machinery over its
-design subset so every per-design contract stays process-local
-(``serve --workers N``).
+:class:`~repro.serve.service.DiagnosisService` is the one orchestrator
+(routing, deadlines, retries, exactly-once).  It hands each device
+attempt to an *executor*, something that can
 
-A shard dequeues one attempt at a time: memo lookup first (signature
-batching), else a fresh session stamped from the design skeleton and
-the strategy ladder, run inline on the shard thread
-(:func:`~repro.serve.race.race_device`).  Failures are reported to the
-service, which owns retry/exactly-once; a :class:`ShardKilled` escape
-(fault injection, tests) kills the worker thread itself, and the
-service re-routes both the in-flight device and the dead shard's
-queue.
+* take an attempt under bounded backpressure (``queue_size``),
+* cancel an attempt,
+* report whether it is alive,
+* hand back the attempts it was holding when it died, and
+* report its own counters.
+
+:class:`Executor` implements that protocol's bookkeeping once.  Two
+executors fill in where the work runs: :class:`ServiceShard` (here), a
+thread of the serving process, and
+:class:`~repro.serve.procpool.WorkerProcess`, a spawned worker process
+(``serve --workers N``).  Both run the same per-attempt function,
+:func:`run_attempt`: memo lookup (signature batching), else a session
+stamped from the design skeleton and the strategy ladder
+(:func:`~repro.serve.race.race_device`), then a memo store.
+
+Thread shards share one :class:`~repro.serve.design.DesignCache`: the
+compiled circuit, the master-encoding skeleton and the signature memo
+are large mutable object graphs, and sharing them across threads keeps
+the build-once-per-design contract.  Their throughput win is
+algorithmic (the cheapest-rung-first ladder, batching, skeleton reuse),
+not core parallelism; worker processes are the lever for core-bound
+traffic.
+
+A :class:`ShardKilled` escape (fault injection, tests) kills the shard
+thread; the shard then hands its in-flight attempt and its backlog back
+to the dispatcher, which retries and re-routes them.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..diagnosis.core import DiagnosisSession
-from .intake import signature_seed
-from .race import race_device
+from .intake import DeviceReport, signature_seed
+from .race import RaceOutcome, race_device
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .design import DesignCache
     from .service import DiagnosisService, _Attempt
 
-__all__ = ["ServiceShard", "ShardKilled", "SHUTDOWN"]
+__all__ = ["Executor", "Ladder", "ServiceShard", "ShardKilled", "run_attempt"]
 
-#: Queue sentinel ending a shard's run loop.
-SHUTDOWN = object()
+
+#: Seconds an idle shard thread waits for work before it exits.
+IDLE_EXIT_S = 1.0
 
 
 class ShardKilled(RuntimeError):
     """Raised (by fault hooks) to kill a shard thread mid-device."""
 
 
-class ServiceShard(threading.Thread):
-    """Worker thread bound to one bounded attempt queue."""
+@dataclass(frozen=True)
+class Ladder:
+    """What every attempt of one service runs (picklable: it is also a
+    worker process's configuration)."""
 
-    def __init__(
-        self,
-        index: int,
-        service: "DiagnosisService",
-        queue_size: int = 2,
-    ) -> None:
-        super().__init__(name=f"repro-shard-{index}", daemon=True)
+    strategies: tuple[str, ...]
+    first_only: bool
+    conflict_poll_interval: int
+    solver_backend: str | None
+
+
+#: Per-executor counters :func:`run_attempt` maintains.
+COUNTERS = (
+    "processed", "signature_hits", "races", "cancelled_legs",
+    "skipped_legs", "memo_stores", "errors",
+)
+
+
+def run_attempt(
+    ladder: Ladder,
+    cache: "DesignCache",
+    memo_lock,
+    counters: dict,
+    device: DeviceReport,
+    cancel: threading.Event,
+    deadline: float | None,
+) -> tuple[dict | None, RaceOutcome | None]:
+    """One attempt at one device: ``(memo, None)`` on a signature-memo
+    hit, else ``(None, outcome)`` of the ladder run.
+
+    A finished ladder's answer is memoized for every later device with
+    the same signature; a cancelled one (stopped by ``cancel`` or
+    ``deadline`` before any rung answered) never is.
+    """
+    counters["processed"] += 1
+    artifacts = cache.get(device.design)
+    signature = device.signature()
+    with memo_lock:
+        memo = artifacts.result_memo.get(signature)
+    if memo is not None:
+        counters["signature_hits"] += 1
+        return memo, None
+    session = DiagnosisSession(
+        artifacts.circuit,
+        device.tests,
+        solver_backend=ladder.solver_backend,
+        seed=signature_seed(signature),
+    )
+    session.master_skeleton = artifacts.skeleton
+    counters["races"] += 1
+    outcome = race_device(
+        session,
+        strategies=ladder.strategies,
+        k=device.k,
+        first_only=ladder.first_only,
+        cancel=cancel,
+        deadline=deadline,
+        conflict_poll_interval=ladder.conflict_poll_interval,
+    )
+    counters["cancelled_legs"] += outcome.cancelled_legs
+    counters["skipped_legs"] += outcome.skipped_legs
+    if not outcome.cancelled:
+        memo = {
+            "answer": outcome.answer,
+            "cardinality": (
+                len(outcome.answer) if outcome.answer is not None else None
+            ),
+            "solutions": outcome.solutions,
+            "winner": outcome.winner,
+        }
+        with memo_lock:
+            if artifacts.result_memo.store(signature, memo):
+                counters["memo_stores"] += 1
+    return None, outcome
+
+
+class Executor:
+    """Admission, held attempts and death hand-back for one executor.
+
+    ``_held`` maps attempt keys to the attempts this executor admitted
+    and has not yet *taken* (started, for a shard thread; answered, for
+    a worker process).  ``submit`` admits into it under the
+    ``capacity`` bound and :meth:`take_stranded` empties it under the
+    same lock, so an attempt is either admitted to a live executor or
+    refused — never parked on a dead one.
+    """
+
+    #: Counter/stats name: "shard" or "worker".
+    kind = "shard"
+
+    def __init__(self, index: int, service: "DiagnosisService",
+                 capacity: int) -> None:
         self.index = index
         self._service = service
-        self.queue: queue.Queue = queue.Queue(maxsize=queue_size)
-        #: False once the worker died (ShardKilled) — the service stops
-        #: routing here and drains the queue.
-        self.alive_for_routing = True
-        self.stats = {
-            "processed": 0,
-            "signature_hits": 0,
-            "races": 0,
-            "cancelled_legs": 0,
-            "skipped_legs": 0,
-            "errors": 0,
-            "queue_high_water": 0,
-        }
+        self.capacity = capacity
+        self._room = threading.Condition()
+        self._held: OrderedDict[int, "_Attempt"] = OrderedDict()
+        self.alive = True
+        self.counters = dict.fromkeys((*COUNTERS, "queue_high_water"), 0)
 
-    # ------------------------------------------------------------------
-    def submit(self, attempt: "_Attempt", timeout: float | None = None):
-        """Enqueue an attempt (blocking — the service's backpressure)."""
-        if not self.alive_for_routing:
-            # A dead worker never drains its queue; rejecting here makes
-            # the submitter re-route instead of parking the attempt.
-            raise RuntimeError(f"shard {self.index} is dead")
-        self.queue.put(attempt, timeout=timeout)
-        depth = self.queue.qsize()
-        if depth > self.stats["queue_high_water"]:
-            self.stats["queue_high_water"] = depth
+    def __str__(self) -> str:
+        return f"{self.kind} {self.index}"
 
-    def shutdown(self) -> None:
-        self.queue.put(SHUTDOWN)
+    def submit(self, attempt: "_Attempt", wait: float | None) -> bool:
+        """Admit ``attempt``; False when this executor is dead, or still
+        full after ``wait`` seconds.  ``wait=None`` admits past the
+        bound: a retry issued from an executor's own thread must never
+        wait on a queue only that thread drains."""
+        with self._room:
+            if wait is not None and self.alive and self._full():
+                self._room.wait(wait)
+            if not self.alive or (wait is not None and self._full()):
+                return False
+            self._held[attempt.key] = attempt
+            depth = len(self._held)
+            if depth > self.counters["queue_high_water"]:
+                self.counters["queue_high_water"] = depth
+            self._deliver(attempt)
+            return True
 
-    # ------------------------------------------------------------------
-    def run(self) -> None:  # pragma: no cover - exercised via service
+    def _full(self) -> bool:
+        return len(self._held) >= self.capacity
+
+    def _deliver(self, attempt: "_Attempt") -> None:
+        """Hand an admitted attempt to the executing side (under the
+        admission lock; must not block)."""
+        self._room.notify_all()
+
+    def _take(self, key: int) -> "_Attempt | None":
+        with self._room:
+            attempt = self._held.pop(key, None)
+            self._room.notify_all()
+            return attempt
+
+    def take_stranded(self) -> tuple["_Attempt | None", list["_Attempt"]]:
+        """Mark this executor dead and hand back what it held: the
+        attempt it was running (None if idle) and those that never
+        started."""
+        with self._room:
+            self.alive = False
+            held = list(self._held.values())
+            self._held.clear()
+            self._room.notify_all()
+        return None, held
+
+    def cancel(self, attempt: "_Attempt") -> None:
+        """Stop ``attempt`` at its running rung's next poll."""
+        attempt.cancel.set()
+
+    def start(self) -> None:
+        """Get ready to serve one ``run()``."""
+
+    def stop(self) -> None:
+        """``run()`` is over: every device resolved."""
+
+    def snapshot(self) -> dict:
+        return {**self.counters, "alive": self.alive}
+
+    def result_fields(self) -> dict:
+        """Where a result says it was served."""
+        return {"shard": self.index, "worker": None}
+
+
+class ServiceShard(Executor):
+    """A thread of the serving process draining its bounded queue.
+
+    The thread starts with the first attempt it is handed and exits
+    after :data:`IDLE_EXIT_S` without work, so a closed-loop client that
+    calls ``run()`` once per device reuses it, and a dropped service
+    leaves no thread behind for long.
+    """
+
+    def __init__(self, index: int, service: "DiagnosisService",
+                 queue_size: int = 2) -> None:
+        super().__init__(index, service, queue_size)
+        self._thread: threading.Thread | None = None
+        self._running: "_Attempt | None" = None
+
+    def start(self) -> None:
+        self.alive = True  # revives a shard killed in an earlier run
+
+    def stop(self) -> None:
+        with self._room:
+            # Whatever is still queued belongs to resolved devices; a
+            # stale attempt still running gets a second to finish.
+            self._held.clear()
+            self._room.wait_for(lambda: self._running is None, timeout=1.0)
+
+    def _deliver(self, attempt: "_Attempt") -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._loop, name=f"repro-shard-{self.index}",
+                daemon=True,
+            )
+            self._thread.start()
+        self._room.notify_all()
+
+    def take_stranded(self):
+        _, queued = super().take_stranded()
+        return self._running, queued
+
+    def _loop(self) -> None:  # pragma: no cover - exercised via service
+        service = self._service
         while True:
-            item = self.queue.get()
-            if item is SHUTDOWN:
-                return
+            with self._room:
+                if not self._room.wait_for(lambda: self._held, IDLE_EXIT_S):
+                    self._thread = None
+                    return
+                _, attempt = self._held.popitem(last=False)
+                self._running = attempt
+                self._room.notify_all()
             try:
-                hook = self._service.fault_hook
-                if hook is not None:
-                    hook(self.index, item)
-                self._process(item)
+                if service.fault_hook is not None:
+                    service.fault_hook(self.index, attempt)
+                self._process(attempt)
             except ShardKilled as exc:
-                self.alive_for_routing = False
-                self._service._shard_died(self, item, exc)
+                service._executor_died(self, exc)
+                with self._room:
+                    self._thread = self._running = None
+                    self._room.notify_all()
                 return
             except Exception as exc:
-                self.stats["errors"] += 1
-                self._service._attempt_error(self, item, exc)
+                self.counters["errors"] += 1
+                service._attempt_error(
+                    self, attempt, f"{type(exc).__name__}: {exc}"
+                )
+            with self._room:
+                self._running = None
+                self._room.notify_all()
 
     def _process(self, attempt: "_Attempt") -> None:
         service = self._service
-        device = attempt.device
-        self.stats["processed"] += 1
-        artifacts = service.design_cache.get(device.design)
-        signature = device.signature()
-        memo = service._memo_lookup(artifacts, signature)
-        if memo is not None:
-            self.stats["signature_hits"] += 1
-            service._attempt_finished(
-                self, attempt, memo=memo, outcome=None
-            )
-            return
-        session = DiagnosisSession(
-            artifacts.circuit,
-            device.tests,
-            solver_backend=service.solver_backend,
-            seed=signature_seed(signature),
+        memo, outcome = run_attempt(
+            service.ladder,
+            service.design_cache,
+            service._memo_lock,
+            self.counters,
+            attempt.device,
+            attempt.cancel,
+            attempt.deadline,
         )
-        session.master_skeleton = artifacts.skeleton
-        self.stats["races"] += 1
-        outcome = race_device(
-            session,
-            strategies=service.strategies,
-            k=device.k,
-            first_only=service.policy == "first",
-            cancel=attempt.cancel,
-            deadline=attempt.deadline,
-            conflict_poll_interval=service.conflict_poll_interval,
-        )
-        self.stats["cancelled_legs"] += outcome.cancelled_legs
-        self.stats["skipped_legs"] += outcome.skipped_legs
-        service._attempt_finished(self, attempt, memo=None, outcome=outcome)
+        service._attempt_finished(self, attempt, memo, outcome)

@@ -1,11 +1,14 @@
 """The durable result journal: WAL roundtrip, torn tails, resume."""
 
+import contextlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.serve import (
     DiagnosisService,
+    ProcessDiagnosisService,
     ResultJournal,
     read_journal,
     signature_key,
@@ -219,3 +222,127 @@ def test_timeout_records_are_not_replayed(tmp_path):
     (result,) = service.run([device])
     assert result.status == "ok"
     assert not result.journal_replayed
+
+
+# ----------------------------------------------------------------------
+# the one DeviceResult codec, and byte-compatible resume in both modes
+# ----------------------------------------------------------------------
+DATA = Path(__file__).parent / "data"
+
+#: The devices behind ``data/golden.wal``: a journal recorded before
+#: thread and process mode shared one dispatcher, holding ok, degraded
+#: and timeout resolutions for c17 and sim1423.
+GOLDEN_DEVICES = [
+    ("g-ok-c17", "c17", 3, None),
+    ("g-ok-s1423", "sim1423", 1, 2),
+    ("g-deg-c17", "c17", 5, None),
+    ("g-deg-s1423", "sim1423", 2, 2),
+    ("g-tmo-c17", "c17", 7, None),
+    ("g-tmo-s1423", "sim1423", 3, 2),
+]
+
+
+@contextlib.contextmanager
+def _service(mode, **options):
+    if mode == "thread":
+        yield DiagnosisService(n_shards=2, **options)
+    else:
+        with ProcessDiagnosisService(n_workers=2, **options) as pool:
+            yield pool
+
+
+@pytest.mark.parametrize("status", ["ok", "degraded", "timeout", "error"])
+def test_record_round_trip_per_status(status):
+    answer = None if status in ("timeout", "error") else ("G3", "G7")
+    result = DeviceResult(
+        device_id="d0",
+        design="c17",
+        status=status,
+        answer=answer,
+        cardinality=len(answer) if answer is not None else None,
+        solutions=(
+            (frozenset(answer), frozenset(("G9",))) if answer else ()
+        ),
+        winner="bsat" if status == "ok" else None,
+        attempts=2,
+        shard=0,
+        latency=0.125,
+        cached=status == "ok",
+        error=None if status == "ok" else f"{status}: why",
+        worker=1,
+        degraded_rung="approximate" if status == "degraded" else None,
+        validity="valid-sampled" if status == "degraded" else None,
+    )
+    record = result.to_record()
+    assert json.loads(json.dumps(record)) == record  # plain JSON data
+    assert DeviceResult.from_record(record) == result
+    # The CLI line is the record with a solution count.
+    line = result.to_dict()
+    assert line["n_solutions"] == len(result.solutions)
+    assert list(line) == [
+        "n_solutions" if key == "solutions" else key for key in record
+    ]
+
+
+def test_golden_wal_keys_match_new_records(tmp_path):
+    golden = [json.loads(line) for line in open(DATA / "golden.wal")]
+    want = {
+        kind: {frozenset(r) for r in golden if r["type"] == kind}
+        for kind in ("accepted", "resolved")
+    }
+    assert all(len(keys) == 1 for keys in want.values())
+    path = tmp_path / "serve.wal"
+    with ResultJournal(path) as journal:
+        DiagnosisService(n_shards=1, timeout=30.0, journal=journal).run(
+            [make_device("n0", seed=3), make_device("n1", seed=5)]
+        )
+        for status in ("degraded", "timeout", "error"):
+            journal.resolved(f"sig-{status}", _result(status=status))
+    written = [json.loads(line) for line in open(path)]
+    for kind, keys in want.items():
+        assert {
+            frozenset(r) for r in written if r["type"] == kind
+        } == keys
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_golden_wal_replays_bit_identically(mode):
+    devices = [
+        make_device(i, design=d, seed=s, k=k)
+        for i, d, s, k in GOLDEN_DEVICES
+    ]
+    expected = json.loads((DATA / "golden_replay.json").read_text())
+    with _service(
+        mode, timeout=30.0, resume_from=read_journal(DATA / "golden.wal")
+    ) as service:
+        results = service.run(devices)
+    replayed = []
+    for result in results:
+        line = result.to_dict()
+        line.pop("latency")
+        if result.journal_replayed:
+            replayed.append(line)
+        else:
+            # timeout records re-run on resume.
+            assert result.device_id.startswith("g-tmo-")
+            assert result.status == "ok"
+    assert replayed == expected
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_resume_counts_no_race_winners(mode, tmp_path):
+    devices = [make_device("r0", seed=3), make_device("r1", seed=5)]
+    path = tmp_path / "serve.wal"
+    with ResultJournal(path) as journal:
+        with _service(mode, timeout=30.0, journal=journal) as first:
+            first.run(devices)
+            assert sum(first.stats()["race_winners"].values()) == 2
+    with _service(
+        mode, timeout=30.0, resume_from=read_journal(path)
+    ) as resumed:
+        results = resumed.run(devices)
+        stats = resumed.stats()
+    assert all(r.journal_replayed for r in results)
+    assert stats["journal_replayed"] == 2
+    # No ladder ran on resume, so no rung won.
+    assert stats["race_winners"] == {}

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.serve import (
+    DEFAULT_STRATEGIES,
     ChaosInjector,
     DiagnosisService,
     ProcessDiagnosisService,
@@ -55,40 +56,30 @@ def test_exactly_once_order_and_memo():
     assert stats["worker_deaths"] == 0
 
 
-def test_merged_stats_sum_per_worker_snapshots():
+def test_stats_sum_per_worker_counters():
     devices = _fleet()
     with ProcessDiagnosisService(n_workers=2, timeout=60.0) as pool:
         pool.run(devices)
         stats = pool.stats()
-    snapshots = [
-        block["service"]
-        for block in stats["workers"].values()
-        if block["service"]
-    ]
-    # Parent totals are exactly the per-worker sums — the merge is
-    # lossless for every counter an operator reads off thread mode.
-    assert sum(s["devices"] for s in snapshots) == stats["devices"] == 4
-    assert sum(s["timeouts"] for s in snapshots) == stats["timeouts"]
-    assert sum(s["retries"] for s in snapshots) == stats["retries"]
-    assert sum(s["memo_stores"] for s in snapshots) == stats["memo_stores"]
-    assert (
-        sum(s["signature_hits"] for s in snapshots)
-        == stats["signature_hits"]
-        == 1
-    )
-    worker_wins: dict[str, int] = {}
-    for s in snapshots:
-        for name, count in s["race_winners"].items():
-            worker_wins[name] = worker_wins.get(name, 0) + count
-    assert worker_wins == stats["worker_race_winners"]
-    # The parent counts winners per resolution it accepted; clean run =
-    # every worker-side win surfaced exactly once.
+    blocks = list(stats["workers"].values())
+    # Dispatcher totals are exactly the per-worker sums — lossless for
+    # every counter an operator reads off thread mode.
+    for key in ("signature_hits", "memo_stores", "cancelled_legs",
+                "skipped_legs"):
+        assert sum(b[key] for b in blocks) == stats[key]
+    assert stats["signature_hits"] == 1
+    assert stats["memo_stores"] == 3
+    assert stats["timeouts"] == stats["retries"] == 0
+    # The dispatcher counts one winner per resolution; clean run = every
+    # worker-side ladder run or memo hit surfaced exactly once.
     assert sum(stats["race_winners"].values()) == 4
-    assert sum(worker_wins.values()) == 4
-    # --stats surfaces: per-worker processed and queue high-water.
-    assert sum(b["processed"] for b in stats["workers"].values()) == 4
-    assert set(stats["queue_high_water"]) == set(stats["workers"])
-    assert all(v >= 0 for v in stats["queue_high_water"].values())
+    assert sum(b["races"] + b["signature_hits"] for b in blocks) == 4
+    # --stats surfaces: per-worker processed, queue high-water, liveness.
+    assert sum(b["processed"] for b in blocks) == stats["devices"] == 4
+    assert all(b["queue_high_water"] >= 1 for b in blocks)
+    assert all(b["alive"] is True for b in blocks)
+    # The parent's own design cache only serves degradation: untouched.
+    assert stats["design_cache"]["designs_built"] == 0
 
 
 def test_bsat_only_bit_identical_to_thread_mode():
@@ -97,19 +88,24 @@ def test_bsat_only_bit_identical_to_thread_mode():
         make_device("b1", design="sim1423", seed=1, k=2),
         make_device("b2", design="sim1423", seed=2, k=2),
     ]
-    thread = DiagnosisService(
-        n_shards=2, strategies=("bsat",), policy="complete", timeout=60.0
-    )
-    expected = {r.device_id: r for r in thread.run(devices)}
-    with ProcessDiagnosisService(
-        n_workers=2, strategies=("bsat",), policy="complete", timeout=60.0
-    ) as pool:
-        results = pool.run(devices)
-    for result in results:
-        assert result.status == "ok"
-        reference = expected[result.device_id]
-        assert result.answer == reference.answer
-        assert tuple(result.solutions) == tuple(reference.solutions)
+    # The bsat-only reference mode, and the default ladder.
+    for options in (
+        {"strategies": ("bsat",), "policy": "complete"},
+        {"strategies": DEFAULT_STRATEGIES, "policy": "first"},
+    ):
+        thread = DiagnosisService(n_shards=2, timeout=60.0, **options)
+        expected = {r.device_id: r for r in thread.run(devices)}
+        with ProcessDiagnosisService(
+            n_workers=2, timeout=60.0, **options
+        ) as pool:
+            results = pool.run(devices)
+        for result in results:
+            assert result.status == "ok"
+            reference = expected[result.device_id]
+            assert result.answer == reference.answer
+            assert result.cardinality == reference.cardinality
+            assert result.winner == reference.winner
+            assert tuple(result.solutions) == tuple(reference.solutions)
 
 
 def test_worker_death_reroutes_to_survivors():
@@ -177,7 +173,8 @@ def test_cancel_device_mid_solve_abandons_without_killing_worker():
     heavy = make_device("heavy", design="sim6669", seed=5, k=2)
     quick = make_device("after", design="sim6669", seed=1, k=2)
     with ProcessDiagnosisService(
-        n_workers=1, strategies=("bsat",), policy="complete", timeout=60.0
+        n_workers=1, strategies=("bsat",), policy="complete", timeout=60.0,
+        max_attempts=3,
     ) as pool:
         canceller = threading.Timer(
             0.15, lambda: pool.cancel_device("heavy")
@@ -189,11 +186,58 @@ def test_cancel_device_mid_solve_abandons_without_killing_worker():
         canceller.cancel()
         assert result.status == "timeout"
         assert "externally cancelled" in result.error
+        # Abandonment, not failure handling: no retry, no degraded answer.
+        assert result.attempts == 1
+        assert result.degraded_rung is None
         assert elapsed < 30.0  # resolved by the cancel, not the deadline
-        assert pool.stats()["cancels_sent"] == 1
-        # The worker survives the cancel and keeps serving.
+        stats = pool.stats()
+        assert stats["cancels_sent"] == 1
+        assert stats["retries"] == 0 and stats["degraded"] == 0
+        # The worker survives the cancel and keeps serving; the
+        # abandoned attempt's late outcome is dropped, not resolved.
         (after,) = pool.run([quick])
         assert after.status == "ok"
+        assert pool.stats()["late_results_dropped"] == 1
+        assert pool.stats()["workers"]["worker0"]["alive"] is True
+
+
+def test_deadline_exhaustion_degrades_in_the_parent():
+    # Every attempt's deadline passes mid-solve on a worker; the
+    # dispatcher retries on the other worker, then walks the
+    # degradation ladder on its own, parent-local design cache.
+    heavy = make_device("heavy", design="sim6669", seed=5, k=2)
+    with ProcessDiagnosisService(
+        n_workers=2, strategies=("bsat",), policy="complete", timeout=0.05,
+        max_attempts=2,
+    ) as pool:
+        (result,) = pool.run([heavy])
+    # Read after close: the workers' late replies have all arrived.
+    stats = pool.stats()
+    assert result.status == "degraded"
+    assert result.degraded_rung in ("approximate", "guidance")
+    assert result.validity in ("valid-sampled", "guidance")
+    assert "deadline exceeded on worker" in result.error
+    assert result.attempts == 2
+    assert stats["timeouts"] == 2 and stats["retries"] == 1
+    assert stats["degraded"] == 1 and stats["failures"] == 0
+    # Retries rotate workers: both attempts ran, one on each.
+    assert [b["processed"] for b in stats["workers"].values()] == [1, 1]
+    assert stats["design_cache"]["skeleton_builds"] == {"sim6669": 1}
+
+
+def test_deadline_exhaustion_without_degrade_times_out():
+    heavy = make_device("heavy", design="sim6669", seed=5, k=2)
+    with ProcessDiagnosisService(
+        n_workers=1, strategies=("bsat",), policy="complete", timeout=0.05,
+        max_attempts=2, degrade=False,
+    ) as pool:
+        (result,) = pool.run([heavy])
+        stats = pool.stats()
+    assert result.status == "timeout"
+    assert result.attempts == 2
+    assert "deadline exceeded on worker 0" in result.error
+    assert stats["timeouts"] == 2 and stats["failures"] == 1
+    assert stats["design_cache"]["designs_built"] == 0
 
 
 def test_journal_resume_without_chaos(tmp_path):
@@ -224,6 +268,8 @@ def test_invalid_configuration_rejected_before_spawn():
         ProcessDiagnosisService(policy="sometimes")
     with pytest.raises(ValueError, match="at least one strategy"):
         ProcessDiagnosisService(strategies=())
+    with pytest.raises(TypeError, match="fault_hook"):
+        ProcessDiagnosisService(fault_hook=lambda shard, attempt: None)
 
 
 def test_duplicate_device_ids_rejected():

@@ -250,19 +250,17 @@ def test_non_jit_backends_skip_eager_warm_up(monkeypatch):
     assert calls == []
 
 
-def test_external_cancel_abandons_without_retry_or_degrade():
+def test_cancel_device_abandons_without_retry_or_degrade():
     # A complete bsat enumeration long enough (~0.6s) to cancel midway.
     heavy = make_device("heavy", design="sim6669", seed=5, k=2)
-    cancels: dict[str, threading.Event] = {"heavy": threading.Event()}
     service = DiagnosisService(
         n_shards=1,
         strategies=("bsat",),
         policy="complete",
         timeout=30.0,
         max_attempts=3,
-        external_cancels=cancels,
     )
-    timer = threading.Timer(0.15, cancels["heavy"].set)
+    timer = threading.Timer(0.15, lambda: service.cancel_device("heavy"))
     timer.start()
     t0 = time.perf_counter()
     (result,) = service.run([heavy])
@@ -275,7 +273,10 @@ def test_external_cancel_abandons_without_retry_or_degrade():
     assert result.degraded_rung is None
     assert service.stats()["retries"] == 0
     assert service.stats()["degraded"] == 0
+    assert service.stats()["cancels_sent"] == 1
     assert elapsed < 10.0  # resolved by the cancel, not the deadline
+    # Unknown and already-resolved devices are not cancelled.
+    assert service.cancel_device("heavy") is False
 
 
 def test_memo_cap_evictions_surface_in_stats():
@@ -360,3 +361,24 @@ def test_sequential_design_served_on_its_full_scan_view():
     assert result.status == "ok", result.error
     scan = to_combinational(library.get_circuit("s27")).circuit
     assert is_valid_correction(scan, device.tests, result.answer)
+
+
+def test_shard_thread_outlives_runs_and_exits_when_idle(monkeypatch):
+    # A closed-loop client calls run() once per device: the shard's
+    # thread carries over between runs, exits once idle, and the next
+    # attempt starts a fresh one.
+    import repro.serve.shard as shard_mod
+
+    monkeypatch.setattr(shard_mod, "IDLE_EXIT_S", 0.2)
+    service = DiagnosisService(n_shards=1)
+    (shard,) = service._executors
+    service.run([make_device("a", seed=3)])
+    thread = shard._thread
+    assert thread is not None and thread.is_alive()
+    service.run([make_device("b", seed=5)])
+    assert shard._thread is thread
+    thread.join(timeout=5.0)
+    assert not thread.is_alive() and shard._thread is None
+    (result,) = service.run([make_device("c", seed=7)])
+    assert result.status == "ok"
+    assert shard._thread is not None and shard._thread is not thread

@@ -411,14 +411,17 @@ def test_serve_out_file_and_stats(tmp_path, capsys):
     assert len(records) == 2
     stats = json.loads(captured.err)
     assert stats["design_cache"]["skeleton_builds"] == {"c17": 1}
+    (block,) = stats["shards"].values()
+    assert {"processed", "queue_high_water", "alive"} <= set(block)
+    assert block["processed"] == 2
 
 
 def test_serve_workers_process_mode_with_stats(tmp_path, capsys):
     stream = tmp_path / "devices.jsonl"
     stream.write_text("\n".join(_serve_device_lines()) + "\n")
     code = main([
-        "serve", str(stream), "--workers", "2", "--shards", "1",
-        "--timeout", "30", "--stats",
+        "serve", str(stream), "--workers", "2", "--timeout", "30",
+        "--stats",
     ])
     captured = capsys.readouterr()
     assert code == 0
@@ -429,12 +432,27 @@ def test_serve_workers_process_mode_with_stats(tmp_path, capsys):
     assert len({r["worker"] for r in records}) == 1
     assert records[0]["worker"] is not None
     stats = json.loads(captured.err)
-    assert set(stats["queue_high_water"]) == {"worker0", "worker1"}
+    assert set(stats["workers"]) == {"worker0", "worker1"}
+    assert all(
+        block["queue_high_water"] >= 0
+        for block in stats["workers"].values()
+    )
     assert sum(
         block["processed"] for block in stats["workers"].values()
     ) == 2
     assert stats["devices"] == 2
     assert stats["worker_deaths"] == 0
+
+
+def test_serve_shards_with_workers_is_one_line_error(tmp_path):
+    # --shards counts thread executors; a worker process is one executor.
+    stream = tmp_path / "devices.jsonl"
+    stream.write_text("\n".join(_serve_device_lines()) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", str(stream), "--workers", "2", "--shards", "1"])
+    message = str(exc.value)
+    assert message.startswith("error: --shards")
+    assert "\n" not in message
 
 
 def test_serve_skips_malformed_line_midstream(tmp_path, capsys):
