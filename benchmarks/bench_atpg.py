@@ -113,6 +113,7 @@ def test_atpg_sim_engine_speedup(benchmark):
     import time
 
     from repro.circuits import random_circuit as _rc
+    from repro.sim.engines import ATPG, available_engines
     from repro.testgen import generate_tests as _gen
 
     circuit = _rc(n_inputs=12, n_outputs=20, n_gates=150, seed=77)
@@ -120,7 +121,7 @@ def test_atpg_sim_engine_speedup(benchmark):
     results = {}
 
     def run_all():
-        for engine in ("deductive", "batch", "deductive-numpy", "event"):
+        for engine in available_engines(ATPG):
             t0 = time.perf_counter()
             results[engine] = _gen(circuit, seed=1, sim_engine=engine)
             timings[engine] = time.perf_counter() - t0

@@ -1,6 +1,6 @@
 """Substrate bench — fault-simulation engine comparison.
 
-Seven ways to answer "which stuck-at faults does this pattern (set)
+Six ways to answer "which stuck-at faults does this pattern (set)
 detect":
 
 * serial — one forced-value simulation per fault (baseline oracle);
@@ -14,8 +14,6 @@ detect":
   paid once *outside* the timed region (the warm-up methodology of
   ``benchmarks/README.md`` — what a dictionary build or ATPG drop loop
   amortises over many sweeps);
-* event — force/unforce cone updates on the batched event simulator
-  (:mod:`repro.sim.batchevent`);
 * bit-parallel table — golden-vs-faulty response comparison over many
   patterns at once (per *error*, not per fault — included to show where
   each engine pays).
@@ -50,8 +48,6 @@ from repro.sim import (
     deductive_coverage_numpy,
     deductive_detected,
     deductive_detected_numpy,
-    event_detected,
-    event_fault_coverage,
     response,
     stuck_at_response,
 )
@@ -157,16 +153,6 @@ def test_codegen_fault_simulation(benchmark):
     assert detected == _serial(circuit, vector, faults)
 
 
-def test_event_fault_simulation(benchmark):
-    circuit, vector, faults = _setup()
-    detected = benchmark.pedantic(
-        lambda: event_detected(circuit, vector, faults),
-        rounds=1,
-        iterations=1,
-    )
-    assert detected == _serial(circuit, vector, faults)
-
-
 def test_record_speedup_artifact(benchmark):
     """Single-pattern detect on 120 gates + ATPG-scale coverage on ~600
     gates; asserts the ≥5× deductive vectorization target, the ≥2×
@@ -205,9 +191,6 @@ def test_record_speedup_artifact(benchmark):
     t_cov_bf, cov_bf = _best_of(
         lambda: batch_fault_coverage(big, patterns, big_faults)
     )
-    t0 = time.perf_counter()
-    cov_ev = event_fault_coverage(big, patterns, big_faults)
-    t_cov_ev = time.perf_counter() - t0
     compile_kernel(big)  # kernel build outside the timed region
     t_cov_cg, cov_cg = _best_of(
         lambda: codegen_fault_coverage(big, patterns, big_faults)
@@ -216,7 +199,6 @@ def test_record_speedup_artifact(benchmark):
         dict(cov_py.first_detection)
         == dict(cov_np.first_detection)
         == dict(cov_bf.first_detection)
-        == dict(cov_ev.first_detection)
         == dict(cov_cg.first_detection)
     )
     speedup = t_cov_py / max(t_cov_np, 1e-9)
@@ -241,7 +223,6 @@ def test_record_speedup_artifact(benchmark):
                 f"deductive py (sets):        {t_cov_py * 1e3:.0f} ms",
                 f"deductive numpy (bitsets):  {t_cov_np * 1e3:.0f} ms",
                 f"batchfault (lane sweep):    {t_cov_bf * 1e3:.0f} ms",
-                f"batch-event (cone updates): {t_cov_ev * 1e3:.0f} ms",
                 f"codegen (generated kernel): {t_cov_cg * 1e3:.0f} ms",
                 f"speedup deductive-numpy vs py: {speedup:.1f}x "
                 f"(floor {MIN_DEDUCTIVE_SPEEDUP:.0f}x)",
@@ -270,7 +251,6 @@ def test_record_speedup_artifact(benchmark):
                     "t_deductive_py": t_cov_py,
                     "t_deductive_numpy": t_cov_np,
                     "t_batchfault": t_cov_bf,
-                    "t_event": t_cov_ev,
                     "t_codegen": t_cov_cg,
                 },
                 "gated_ratios": {

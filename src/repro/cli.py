@@ -14,6 +14,9 @@ A thin, scriptable front-end over the library for users who work with
 * ``strategies`` — list the registered candidate-space strategies with
   the system kinds each one supports.
 * ``backends`` — list the registered SAT solver backends.
+* ``engines``  — list the fault-simulation engines and the entry point
+  (``FaultDictionary``/``diagnose_stuck_at`` or ``generate_tests``) that
+  accepts each one.
 * ``table1``   — print the paper's comparison matrix.
 * ``atpg``     — run the stuck-at ATPG flow (PODEM or SAT) and report
   coverage.
@@ -65,7 +68,10 @@ def _load_circuit(spec: str) -> Circuit:
             f"error: {spec!r} is neither a library circuit "
             f"({', '.join(library.available_circuits())}) nor a file"
         )
-    return bench.load(path)
+    try:
+        return bench.load(path)
+    except (OSError, ValueError) as exc:  # BenchFormatError is a ValueError
+        raise SystemExit(f"error: {spec}: {exc}")
 
 
 def _write_tests(tests: TestSet, circuit: Circuit, path: Path) -> None:
@@ -334,19 +340,16 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:
-    from .sim.engines import (
-        SIM_ENGINES,
-        available_engines,
-        unavailable_engines,
-    )
+    from .sim.engines import SIM_ENGINES, available_engines
 
     names = available_engines()
-    missing = unavailable_engines()
-    width = max(len(name) for name in (*names, *missing))
+    width = max(len(name) for name in names)
     for name in names:
-        print(f"{name.ljust(width)}  {SIM_ENGINES[name]}")
-    for name in sorted(missing):
-        print(f"{name.ljust(width)}  [unavailable] {missing[name]}")
+        engine = SIM_ENGINES[name]
+        print(f"{name.ljust(width)}  {engine.summary}")
+        print(
+            f"{'':{width}}  accepted by: {'; '.join(engine.entry_points)}"
+        )
     return 0
 
 
@@ -411,9 +414,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     tests = _read_tests(Path(args.tests), faulty)
     if not tests.m:
         raise SystemExit("error: empty test file")
-    verdict = certify_correction_bound(
-        faulty, tests, k=args.k, check=not args.no_check
-    )
+    try:
+        verdict = certify_correction_bound(
+            faulty, tests, k=args.k, check=not args.no_check
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     print(verdict.summary())
     if verdict.proof is not None and args.proof_out:
         Path(args.proof_out).write_text(verdict.proof.to_drat_text())
@@ -723,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_back.set_defaults(func=_cmd_backends)
 
     p_eng = sub.add_parser(
-        "engines", help="list the registered fault-simulation engines"
+        "engines",
+        help="list the fault-simulation engines and who accepts each",
     )
     p_eng.set_defaults(func=_cmd_engines)
 

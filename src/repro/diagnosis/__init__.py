@@ -24,7 +24,8 @@ space once per problem:
 
 Strategies register in
 :data:`~repro.diagnosis.core.DIAGNOSIS_STRATEGIES` (the diagnosis twin of
-ATPG's ``_SIM_ENGINES``) and run via
+the fault-simulation engine table
+:data:`repro.sim.engines.SIM_ENGINES`) and run via
 :func:`~repro.diagnosis.core.diagnose`; all share the signature
 ``(session, k, **options) -> SolutionSetResult``.
 

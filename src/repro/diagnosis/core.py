@@ -40,7 +40,7 @@ session from ``(circuit, tests)`` binds the gate-level
 loops on clause groups or fault spectra.
 
 Strategies register themselves in :data:`DIAGNOSIS_STRATEGIES` (the
-diagnosis twin of ``repro.testgen.atpg._SIM_ENGINES``) via
+diagnosis twin of :data:`repro.sim.engines.SIM_ENGINES`) via
 :func:`register_strategy`, declaring which system kinds they support;
 :func:`diagnose` dispatches by name and enforces the kind.  All
 registered strategies share the signature ``(session, k, **options) ->
@@ -758,8 +758,8 @@ class StrategyInfo(NamedTuple):
     kinds: tuple[str, ...]
 
 
-#: Name → :class:`StrategyInfo`.  The diagnosis twin of the ATPG
-#: ``_SIM_ENGINES`` registry: one place enumerating every search loop
+#: Name → :class:`StrategyInfo`.  The diagnosis twin of the
+#: fault-simulation engine table ``repro.sim.engines.SIM_ENGINES``: one place enumerating every search loop
 #: that can run on a :class:`DiagnosisSession`.
 DIAGNOSIS_STRATEGIES: dict[str, StrategyInfo] = {}
 

@@ -900,7 +900,10 @@ def basic_sat_diagnose(
                 corrections[solution] = instance.correction_values(solution)
             solutions.append(solution)
         empty_unsat = probe is not None and not probe
-        for bound in range(1, k + 1) if empty_unsat else ():
+        # No correction exceeds the pool, so bounds past it only repeat
+        # the last (exhausted) enumeration: stop there.
+        last_bound = min(k, len(select_vars)) if empty_unsat else 0
+        for bound in range(1, last_bound + 1):
             if should_stop is not None and should_stop():
                 complete = False
                 cancelled = True
@@ -1050,7 +1053,10 @@ def auto_k_sat_diagnose(
     solver = instance.solver
     should_stop = kwargs.get("should_stop")
     budget = kwargs.get("budget")
-    for k in range(1, k_max + 1):
+    # Bounds past the pool size admit nothing new (the totalizer is
+    # capped there too); bound 1 still runs on an empty pool, where it
+    # decides whether the empty correction is consistent.
+    for k in range(1, min(k_max, max(1, len(instance.suspects))) + 1):
         if (should_stop is not None and should_stop()) or (
             budget is not None and budget.poll()
         ):

@@ -8,8 +8,9 @@ setting: a device fails on the tester with observed output responses; the
 candidate stuck-at faults are those whose simulated faulty behaviour
 matches the observation.
 
-Two interchangeable signature engines back the module (``engine``
-parameter of :class:`FaultDictionary` and :func:`diagnose_stuck_at`):
+Three interchangeable signature engines back the module (``engine``
+parameter of :class:`FaultDictionary` and :func:`diagnose_stuck_at`,
+resolved through :data:`repro.sim.engines.SIM_ENGINES`):
 
 * ``"serial"`` — one bit-parallel simulation pass per fault
   (:func:`fault_signature`), the original serial-fault / parallel-pattern
@@ -41,6 +42,8 @@ from ..sim.batchfault import (
     pack_responses,
     popcount,
 )
+from ..sim.codegen import codegen_output_lanes
+from ..sim.engines import DICTIONARY, resolve_engine
 from ..sim.parallel import pack_patterns, simulate_words
 from .base import SolutionSetResult
 
@@ -70,31 +73,9 @@ class FaultMatch:
         return self.mismatch_bits == 0
 
 
-def _resolve_engine(engine: str) -> str:
-    if engine == "auto":
-        return "batch"
-    if engine not in ("batch", "codegen", "serial"):
-        # optional engines degrade instead of raising (mirrors
-        # repro.sat.backends.BACKEND_FALLBACKS)
-        from ..sim.engines import ENGINE_FALLBACKS
-
-        fallback = ENGINE_FALLBACKS.get(engine)
-        if fallback in ("batch", "codegen", "serial"):
-            return fallback
-        raise ValueError(
-            f"unknown engine {engine!r}; choose 'auto', 'batch', "
-            f"'codegen' or 'serial'"
-        )
-    return engine
-
-
 def _output_lanes_fn(engine: str):
     """The batched-sweep implementation for a lane-based engine."""
-    if engine == "codegen":
-        from ..sim.codegen import codegen_output_lanes  # local: lazy
-
-        return codegen_output_lanes
-    return batch_output_lanes
+    return codegen_output_lanes if engine == "codegen" else batch_output_lanes
 
 
 def full_fault_list(
@@ -180,7 +161,7 @@ class FaultDictionary:
         self._circuit = circuit
         self._patterns = [dict(p) for p in patterns]
         self._n = len(self._patterns)
-        self._engine = _resolve_engine(engine)
+        self._engine = resolve_engine(engine, DICTIONARY)
         self._faults = (
             list(faults) if faults is not None else full_fault_list(circuit)
         )
@@ -308,7 +289,7 @@ def diagnose_stuck_at(
         raise ValueError("patterns and observed responses must align")
     if not patterns:
         raise ValueError("need at least one pattern")
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine, DICTIONARY)
     start = time.perf_counter()
     n = len(patterns)
     if faults is None:

@@ -72,7 +72,6 @@ from .backends import (
     available_backends,
     backend_summary,
     create_solver,
-    external_backend_available,
     register_backend,
 )
 from .cnf import CNF
@@ -107,7 +106,6 @@ __all__ = [
     "available_backends",
     "backend_summary",
     "create_solver",
-    "external_backend_available",
     "register_backend",
     "CNF",
     "encode_circuit",

@@ -3,8 +3,9 @@
 The diagnosis layer never hard-codes a solver class: every instance
 construction goes through :func:`create_solver` and the
 :data:`SAT_BACKENDS` registry (the SAT twin of the simulation layer's
-``_SIM_ENGINES`` and the diagnosis layer's ``DIAGNOSIS_STRATEGIES``).
-Three backends ship:
+:data:`repro.sim.engines.SIM_ENGINES` and the diagnosis layer's
+``DIAGNOSIS_STRATEGIES``).  Three backends ship, each for a stated
+reason:
 
 ``arena`` (default)
     :class:`repro.sat.solver.Solver` — the flat-arena CDCL solver with
@@ -13,20 +14,18 @@ Three backends ship:
 ``legacy``
     :class:`repro.sat.legacy.LegacySolver` — the original object-graph
     solver, kept as the differential oracle
-    (``tests/sat/test_backends.py`` races the two on random CNFs).
-``pysat``
-    A thin adapter over `python-sat <https://pysathq.github.io/>`_'s
-    Glucose3, registered **only when the package is importable** (the
-    repo does not depend on it).  Useful as an external cross-check and
-    as the template for remote/compiled engines (ROADMAP item).
+    (``tests/sat/test_backends.py`` races the two on random CNFs) and
+    the denominator of the ``benchmarks/bench_solver.py`` ratios.
 ``arena-jit``
     :class:`repro.sat.compiled.CompiledSolver` — the arena hot loop as
-    numba-jitted kernels over flat numpy arrays.  Registered only when
-    numba is importable; elsewhere it appears in
+    numba-jitted kernels over flat numpy arrays, gated at ≥3× ``arena``
+    by the ``bench_solver.py --backend arena-jit`` CI leg.  Registered
+    only when numba is importable; elsewhere it appears in
     :func:`unavailable_backends` with the import error, and
-    :func:`resolve_backend` **degrades it to ``arena``** instead of
-    raising, so portfolio configurations naming the compiled backend
-    stay runnable on minimal installs.
+    :func:`resolve_backend` **degrades it to ``arena``** (via
+    :data:`BACKEND_FALLBACKS`) instead of raising, so portfolio
+    configurations naming the compiled backend stay runnable on minimal
+    installs.
 
 Every backend object offers the :class:`~repro.sat.solver.Solver`
 surface the repo relies on: ``new_var/ensure_vars/add_clause/solve
@@ -42,7 +41,7 @@ per strategy invocation (every registered strategy accepts
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .legacy import LegacySolver
 from .solver import Solver
@@ -57,7 +56,6 @@ __all__ = [
     "create_solver",
     "backend_summary",
     "resolve_backend",
-    "external_backend_available",
     "compiled_backend_available",
 ]
 
@@ -153,169 +151,6 @@ def _arena_backend() -> Solver:
 )
 def _legacy_backend() -> LegacySolver:
     return LegacySolver()
-
-
-# ----------------------------------------------------------------------
-# optional external backend (python-sat), registered only if importable
-# ----------------------------------------------------------------------
-def external_backend_available() -> bool:
-    """True when the optional python-sat backend is registered."""
-    return "pysat" in SAT_BACKENDS
-
-
-class _PySatSolver:
-    """Adapter giving python-sat's Glucose3 the repo's Solver surface.
-
-    Incremental (clauses and assumption solving map 1:1); the heuristic
-    hooks are accepted but ignored, ``conflict_limit`` maps onto
-    python-sat's ``conf_budget`` mechanism, and ``stats`` mirrors the
-    accumulated statistics the native solvers expose (keys only — the
-    counters come from the external engine where available).
-    """
-
-    def __init__(self) -> None:
-        from pysat.solvers import Glucose3  # noqa: PLC0415
-
-        self._solver = Glucose3(incr=True)
-        self._num_vars = 0
-        self._ok = True
-        self._has_model = False
-        self._model: dict[int, bool] = {}
-        self._core: list[int] = []
-        self.stats: dict[str, int] = {
-            "conflicts": 0,
-            "decisions": 0,
-            "propagations": 0,
-            "restarts": 0,
-            "learned": 0,
-            "deleted": 0,
-        }
-
-    def new_var(self) -> int:
-        self._num_vars += 1
-        return self._num_vars
-
-    def ensure_vars(self, n: int) -> None:
-        if n > self._num_vars:
-            self._num_vars = n
-
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
-    def add_clause(self, lits) -> bool:
-        clause = list(lits)
-        for lit in clause:
-            self.ensure_vars(abs(lit))
-        if not clause:
-            self._ok = False
-            return False
-        self._solver.add_clause(clause)
-        return self._ok
-
-    def add_clauses(self, clauses) -> bool:
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
-
-    def bump_activity(self, var: int, amount: float = 1.0) -> None:
-        pass  # external engine owns its heuristics
-
-    def set_phase(self, var: int, value: bool) -> None:
-        self._solver.set_phases([var if value else -var])
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: int | None = None,
-        budget=None,
-    ):
-        # Mirror the native contract: witnesses are per-solve, never
-        # carried over from an earlier call.
-        self._has_model = False
-        self._model = {}
-        self._core = []
-        if not self._ok:
-            return False
-        self.interrupted = False
-        if budget is not None:
-            # The external engine cannot poll mid-solve; approximate the
-            # budget with its conflict cap (checked up front and applied
-            # as a conf_budget) — coarse, but keeps portfolio configs
-            # naming this backend budget-safe.
-            if budget.poll():
-                self.interrupted = True
-                return None
-            remaining = budget.conflicts_remaining()
-            if remaining is not None and (
-                conflict_limit is None or remaining < conflict_limit
-            ):
-                conflict_limit = remaining
-        for a in assumptions:
-            self.ensure_vars(abs(a))
-        prev_conflicts = self.stats["conflicts"]
-        prev_props = self.stats["propagations"]
-        if conflict_limit is not None:
-            self._solver.conf_budget(conflict_limit)
-            result = self._solver.solve_limited(
-                assumptions=list(assumptions)
-            )
-        else:
-            result = self._solver.solve(assumptions=list(assumptions))
-        acc = self._solver.accum_stats()
-        for key in ("conflicts", "decisions", "propagations", "restarts"):
-            self.stats[key] = int(acc.get(key, self.stats[key]))
-        if budget is not None:
-            if budget.charge(
-                self.stats["conflicts"] - prev_conflicts,
-                self.stats["propagations"] - prev_props,
-            ) and result is None:
-                self.interrupted = True
-        if result is True:
-            self._has_model = True
-            self._model = {
-                abs(l): l > 0 for l in (self._solver.get_model() or [])
-            }
-        elif result is False:
-            self._core = list(self._solver.get_core() or [])
-        return result
-
-    def value(self, var: int):
-        if not self._has_model:
-            raise RuntimeError("no model: last solve() did not return True")
-        return self._model.get(var)
-
-    def model(self) -> list[int]:
-        if not self._has_model:
-            raise RuntimeError("no model: last solve() did not return True")
-        return [
-            (v if self._model[v] else -v) for v in sorted(self._model)
-        ]
-
-    def core(self) -> list[int]:
-        return list(self._core)
-
-    def start_proof(self):
-        raise NotImplementedError(
-            "DRAT logging is only available on the native backends"
-        )
-
-
-def _try_register_pysat() -> None:
-    try:
-        from pysat.solvers import Glucose3  # noqa: F401,PLC0415
-    except ImportError as exc:
-        UNAVAILABLE_BACKENDS["pysat"] = (
-            f"optional dependency not importable: {exc}"
-        )
-        return
-    register_backend(
-        "pysat", "external python-sat Glucose3 (optional dependency)"
-    )(_PySatSolver)
-
-
-_try_register_pysat()
 
 
 # ----------------------------------------------------------------------

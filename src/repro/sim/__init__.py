@@ -26,7 +26,8 @@ Engine selection guide
   oracle).
 * :func:`deductive_fault_lists` — the classic deductive fault simulator
   (one pass per pattern, all faults at once); pure-Python set propagation,
-  kept as a second independent fault-simulation oracle.
+  kept as the reference the vectorized port's per-signal fault lists are
+  tested against.
 * :mod:`repro.sim.deductive_numpy` (:func:`deductive_fault_lists_numpy`,
   :func:`deductive_detected_numpy`, :func:`deductive_coverage_numpy`) —
   the vectorized port of the deductive engine: fault lists are uint64
@@ -38,14 +39,13 @@ Engine selection guide
   Single-pattern calls (the ATPG drop query: one vector × many faults)
   dispatch to a dedicated 1-lane big-int path, so the drop loop no
   longer falls back to the pure-Python propagator for that shape.
-* :class:`EventSimulator` — incremental re-evaluation for long sequences
-  of small changes (interactive what-if analysis, one pattern at a time).
-* :class:`BatchEventSimulator` (:func:`event_detected`,
-  :func:`event_fault_coverage`) — the lane port of the event engine:
-  force/unforce whole uint64 pattern words at once, re-evaluating only
-  the fanout cone.  Backs the what-if loop of
-  :mod:`repro.diagnosis.advanced_sim` and the ``engine="event"``
-  candidate screen of :mod:`repro.diagnosis.validity`.
+* :class:`BatchEventSimulator` — incremental re-evaluation: force/unforce
+  whole uint64 pattern words at once, re-evaluating only the fanout
+  cone.  Backs the :class:`~repro.diagnosis.core.DiagnosisSession`
+  what-if loop of :mod:`repro.diagnosis.advanced_sim` and the
+  ``engine="event"`` candidate screen of :mod:`repro.diagnosis.validity`.
+  Not a fault-simulation engine: a force/unforce cycle per fault swept
+  the 663-gate coverage workload ~13× slower than batchfault.
 * :mod:`repro.sim.codegen` (:func:`compile_kernel`,
   :func:`codegen_detected`, :func:`codegen_fault_coverage`,
   :func:`exact_match_faults_codegen`) — the compiled floor of the
@@ -65,11 +65,13 @@ Picking an engine: scalar/ternary for single oracles, ``simulate_words``
 batchfault when many faults must be swept anyway, codegen when those
 sweeps repeat on one circuit (dictionary builds, ATPG drop loops),
 deductive/-numpy when the per-signal fault lists themselves matter, and
-the event engines when changes arrive one at a time and fanout cones are
-small.  All fault engines are bit-identical —
+the event simulator when changes arrive one at a time and fanout cones
+are small.  All fault engines are bit-identical —
 ``tests/sim/test_cross_engine.py`` holds the full differential matrix —
-and :mod:`repro.sim.engines` lists them with availability (the
-simulation twin of ``python -m repro backends``).
+and :data:`repro.sim.engines.SIM_ENGINES` is the only table of the
+engine names ``FaultDictionary``/``diagnose_stuck_at`` (``engine=``) and
+``generate_tests``/``compact_patterns`` (``sim_engine=``) accept, each
+row with the reason it stays (``python -m repro engines`` prints it).
 """
 
 from .compiled import CompiledCircuit, compile_circuit
@@ -83,7 +85,6 @@ from .parallel import (
     simulate_words_numpy,
 )
 from .threevalued import simulate_ternary, x_reaches, x_propagation_set
-from .event import EventSimulator
 from .faultsim import (
     response,
     failing_outputs,
@@ -103,11 +104,7 @@ from .deductive_numpy import (
     deductive_detected_many,
     deductive_coverage_numpy,
 )
-from .batchevent import (
-    BatchEventSimulator,
-    event_detected,
-    event_fault_coverage,
-)
+from .batchevent import BatchEventSimulator
 from .batchfault import (
     fault_signatures_batch,
     lanes_to_words,
@@ -131,7 +128,6 @@ from .codegen import (
 from .engines import (
     SIM_ENGINES,
     available_engines,
-    unavailable_engines,
     engine_summary,
     resolve_engine,
 )
@@ -151,7 +147,6 @@ __all__ = [
     "simulate_ternary",
     "x_reaches",
     "x_propagation_set",
-    "EventSimulator",
     "response",
     "failing_outputs",
     "fault_table",
@@ -166,8 +161,6 @@ __all__ = [
     "deductive_detected_many",
     "deductive_coverage_numpy",
     "BatchEventSimulator",
-    "event_detected",
-    "event_fault_coverage",
     "fault_signatures_batch",
     "lanes_to_words",
     "pack_responses",
@@ -186,7 +179,6 @@ __all__ = [
     "exact_match_faults_codegen",
     "SIM_ENGINES",
     "available_engines",
-    "unavailable_engines",
     "engine_summary",
     "resolve_engine",
 ]

@@ -1,9 +1,8 @@
 """Batched event-driven simulation on uint64 pattern lanes.
 
-:class:`repro.sim.event.EventSimulator` answers "what happens at the
-outputs if this signal is forced to v?" incrementally for *one* pattern;
-the advanced diagnosis loops ask that question for *every failing test at
-once*.  :class:`BatchEventSimulator` is the lane port: the current
+The advanced diagnosis loops ask "what happens at the outputs if this
+signal is forced to v?" for *every failing test at once*.
+:class:`BatchEventSimulator` answers it incrementally: the current
 valuation is one ``(n_signals, lanes)`` uint64 matrix — bit ``b`` of lane
 ``l`` is pattern ``64*l + b`` — and a force/unforce event re-evaluates
 only the fanout cone of the changed signal, in level order, with one
@@ -19,10 +18,12 @@ sweeps to pin that (stale-cone bugs die here).
 
 Engine economics: :func:`repro.sim.batchfault.batch_fault_coverage` wins
 when every fault must be swept anyway (it amortizes the netlist walk over
-the whole batch); the event engine wins when changes arrive one at a time
-and cones are small — the interactive what-if loop of
+the whole batch); the event simulator wins when changes arrive one at a
+time and cones are small — the interactive what-if loop of
 :mod:`repro.diagnosis.advanced_sim` and candidate screening over a
-narrowed pool.
+narrowed pool.  It is not a fault-simulation engine of
+:mod:`repro.sim.engines`: sweeping every fault through it measured
+~13× slower than ``batchfault``.
 """
 
 from __future__ import annotations
@@ -35,18 +36,11 @@ import numpy as np
 from ..circuits.gates import GateType
 from ..circuits.netlist import Circuit
 from ..circuits.structure import levels
-from ..faults.collapse import full_stuck_at_universe
-from ..faults.models import StuckAtFault
-from .batchfault import _ALL_ONES, _GATE_OPS, _lane_mask, first_set_bit
+from .batchfault import _ALL_ONES, _GATE_OPS, _lane_mask
 from .compiled import compile_circuit
-from .deductive import FaultCoverage
 from .parallel import pack_patterns_numpy
 
-__all__ = [
-    "BatchEventSimulator",
-    "event_detected",
-    "event_fault_coverage",
-]
+__all__ = ["BatchEventSimulator"]
 
 
 class BatchEventSimulator:
@@ -147,9 +141,9 @@ class BatchEventSimulator:
         """Force ``name``; returns the names of changed signals.
 
         ``value`` may be an ``int`` 0/1 (broadcast to every pattern — the
-        stuck-at convention of :class:`~repro.sim.event.EventSimulator`)
-        or a uint64 lane array giving a per-pattern word (the what-if
-        convention: ``force(g, ~base)`` flips ``g`` everywhere).
+        stuck-at convention) or a uint64 lane array giving a per-pattern
+        word (the what-if convention: ``force(g, ~base)`` flips ``g``
+        everywhere).
         """
         idx = self._comp.index[name]
         lanes = self._coerce(value)
@@ -254,66 +248,3 @@ class BatchEventSimulator:
                 for fo in self._fanouts[idx]:
                     schedule(fo)
         return changed
-
-
-def event_detected(
-    circuit: Circuit,
-    vector: Mapping[str, int],
-    faults: Sequence[StuckAtFault] | None = None,
-) -> frozenset[StuckAtFault]:
-    """Faults that ``vector`` detects, via force/unforce cone updates.
-
-    Batched-event drop-in for :func:`repro.sim.deductive.deductive_detected`
-    and :func:`repro.sim.batchfault.batch_detected`: identical results
-    (differential tests assert this); each fault costs one force and one
-    unforce, touching only its fanout cone.
-    """
-    return frozenset(
-        event_fault_coverage(circuit, [vector], faults).detected
-    )
-
-
-def event_fault_coverage(
-    circuit: Circuit,
-    patterns: Sequence[Mapping[str, int]],
-    faults: Sequence[StuckAtFault] | None = None,
-    drop_detected: bool = True,
-) -> FaultCoverage:
-    """Fault coverage via one force/unforce cycle per fault.
-
-    The incremental/event flavour of
-    :func:`repro.sim.batchfault.batch_fault_coverage` (bit-identical
-    ``first_detection``): the good machine is simulated once, then every
-    fault is a force of its site across all pattern lanes, an output
-    comparison, and an unforce — so only the fault's fanout cone is ever
-    re-evaluated.  ``drop_detected`` is accepted for signature parity but
-    has no effect (there is no shared work to drop).
-    """
-    if faults is None:
-        faults = full_stuck_at_universe(circuit)
-    faults = list(faults)
-    first_detection: dict[StuckAtFault, int] = {}
-    if faults and patterns:
-        comp = compile_circuit(circuit)
-        for fault in faults:
-            if fault.signal not in comp.index:
-                raise ValueError(
-                    f"fault site {fault.signal!r} is not a signal of "
-                    f"circuit {circuit.name!r}"
-                )
-        sim = BatchEventSimulator(circuit, patterns)
-        good = sim.output_lanes()
-        for fault in faults:
-            sim.force(fault.signal, fault.value)
-            diff = np.bitwise_or.reduce(sim.output_lanes() ^ good, axis=0)
-            sim.unforce(fault.signal)
-            if fault in first_detection:
-                continue
-            first = first_set_bit(diff)
-            if first is not None:
-                first_detection[fault] = first
-    return FaultCoverage(
-        faults=tuple(faults),
-        first_detection=first_detection,
-        n_patterns=len(patterns),
-    )

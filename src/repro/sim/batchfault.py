@@ -31,7 +31,7 @@ count as the sweep progresses.
 
 Within the vectorized lineup this engine owns the *sweep-everything*
 workload.  When only per-change increments are needed, the batched event
-engine (:mod:`repro.sim.batchevent`) re-evaluates fanout cones instead;
+simulator (:mod:`repro.sim.batchevent`) re-evaluates fanout cones instead;
 when per-signal fault lists are needed, the bitset deductive engine
 (:mod:`repro.sim.deductive_numpy`) propagates them directly.  All three
 are bit-identical on shared queries (``tests/sim/test_cross_engine.py``).

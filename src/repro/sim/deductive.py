@@ -13,8 +13,8 @@ equivalence oracle for its vectorized port
 uint64 bitset matrices, whole pattern blocks at once) and one leg of the
 fault-engine lineup next to the serial forced-value simulator, the
 bit-parallel pattern simulator, the fault-parallel batch sweep
-(:mod:`repro.sim.batchfault`) and the event engines
-(:mod:`repro.sim.event`, :mod:`repro.sim.batchevent`).  All engines agree
+(:mod:`repro.sim.batchfault`) and the batched event simulator
+(:mod:`repro.sim.batchevent`).  All engines agree
 bit-for-bit — ``tests/sim/test_cross_engine.py`` holds the full
 differential matrix.
 

@@ -1,117 +1,139 @@
-"""Fault-simulation engine registry with availability reporting.
+"""The fault-simulation engine table: the only list of engine names.
 
-The SAT layer's :mod:`repro.sat.backends` registry taught the CLI to
-*list* optional backends that failed to import (with the reason) and to
-*degrade* selection instead of raising.  This module is the simulation
-twin: one place that names the fault-simulation engines the
-``engine=``/``sim_engine=`` parameters accept (``FaultDictionary``,
-:func:`repro.diagnosis.stuckat.diagnose_stuck_at`,
-:func:`repro.testgen.atpg.generate_tests`), with a one-line summary per
-engine, an unavailable-with-reason table for optional engines whose
-dependency is missing, and a fallback map consulted by
-:func:`resolve_engine` so selecting an unavailable engine degrades to
-its interpreted twin instead of raising.
+Two entry points select a fault-simulation engine by name:
 
-Every engine that ships in-tree is pure numpy/Python and therefore
-always available — including ``codegen``, whose generated kernels need
-no optional dependency — so :data:`UNAVAILABLE_ENGINES` is empty on a
-stock install; the mechanism exists so compiled variants gated on
-optional dependencies surface in ``python -m repro engines`` exactly
-like ``arena-jit`` does in ``python -m repro backends``.
+* ``FaultDictionary`` / :func:`repro.diagnosis.stuckat.diagnose_stuck_at`
+  (``engine=``) — :data:`DICTIONARY`;
+* :func:`repro.testgen.atpg.generate_tests` / ``compact_patterns``
+  (``sim_engine=``) — :data:`ATPG`.
+
+Both resolve the name through :func:`resolve_engine` against
+:data:`SIM_ENGINES`, and ``python -m repro engines`` prints the same
+table with the entry points that accept each row, so what gets listed
+and what gets accepted cannot drift apart.  Every row earns its place:
+
+* ``batch`` — the default on both entry points;
+* ``serial`` — the oracle the dictionary engines are checked against;
+* ``codegen`` — measured fastest (``BENCH_faultsim.json``: ~2.3× batch
+  on the detect sweep, ~1.3× on coverage);
+* ``deductive`` — the reference ``deductive-numpy``'s per-signal fault
+  lists are tested against;
+* ``deductive-numpy`` — ~11× the pure-Python ``deductive`` propagator.
+
+Every engine is pure numpy/Python, so every row is always available.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
+from .batchfault import batch_detected, batch_fault_coverage
+from .codegen import codegen_detected, codegen_fault_coverage
+from .deductive import deductive_coverage, deductive_detected
+from .deductive_numpy import deductive_coverage_numpy, deductive_detected_numpy
+
 __all__ = [
     "SIM_ENGINES",
-    "UNAVAILABLE_ENGINES",
-    "ENGINE_FALLBACKS",
-    "register_engine",
+    "DEFAULT_ENGINE",
+    "DICTIONARY",
+    "ATPG",
+    "SimEngine",
     "available_engines",
-    "unavailable_engines",
     "engine_summary",
     "resolve_engine",
 ]
 
-#: Engine name -> one-line summary (the ``python -m repro engines`` rows).
-SIM_ENGINES: dict[str, str] = {}
+#: The stuck-at dictionary entry point and the parameter it reads.
+DICTIONARY = "FaultDictionary/diagnose_stuck_at (engine=)"
+#: The ATPG entry point and the parameter it reads.
+ATPG = "generate_tests/compact_patterns (sim_engine=)"
 
-#: Optional engines that could not register -> the reason (import error).
-UNAVAILABLE_ENGINES: dict[str, str] = {}
-
-#: Optional engine -> the always-available engine it degrades to when
-#: its dependency is missing (mirrors ``BACKEND_FALLBACKS``).
-ENGINE_FALLBACKS: dict[str, str] = {}
-
-#: The engine ``"auto"`` resolves to.
+#: The engine ``None`` / ``"auto"`` resolves to.
 DEFAULT_ENGINE = "batch"
 
 
-def register_engine(name: str, summary: str) -> None:
-    """Register an engine name for listing/selection."""
-    if name in SIM_ENGINES:
-        raise ValueError(f"sim engine {name!r} registered twice")
-    SIM_ENGINES[name] = summary
+@dataclass(frozen=True)
+class SimEngine:
+    """One row of the engine table."""
+
+    summary: str
+    #: Whether :data:`DICTIONARY` accepts the engine.
+    dictionary: bool = False
+    #: ``(detect, coverage)`` behind :data:`ATPG`; None when ATPG does
+    #: not accept the engine.
+    atpg: tuple[Callable, Callable] | None = None
+
+    @property
+    def entry_points(self) -> tuple[str, ...]:
+        """The entry points that accept this engine."""
+        points = []
+        if self.dictionary:
+            points.append(DICTIONARY)
+        if self.atpg is not None:
+            points.append(ATPG)
+        return tuple(points)
 
 
-def available_engines() -> tuple[str, ...]:
-    """Registered engine names, sorted, the ``auto`` default first."""
-    names = sorted(SIM_ENGINES)
+#: Engine name -> its row (the ``python -m repro engines`` table).
+SIM_ENGINES: dict[str, SimEngine] = {
+    "batch": SimEngine(
+        "fault-parallel x pattern-parallel numpy sweep (default)",
+        dictionary=True,
+        atpg=(batch_detected, batch_fault_coverage),
+    ),
+    "codegen": SimEngine(
+        "per-circuit generated straight-line numpy kernel (opt-in fast "
+        "path; one kernel build per circuit, then ~2x the batch sweep)",
+        dictionary=True,
+        atpg=(codegen_detected, codegen_fault_coverage),
+    ),
+    "deductive": SimEngine(
+        "pure-Python deductive fault-list propagation (reference for "
+        "deductive-numpy's fault lists)",
+        atpg=(deductive_detected, deductive_coverage),
+    ),
+    "deductive-numpy": SimEngine(
+        "deductive propagation on uint64 bitset matrices",
+        atpg=(deductive_detected_numpy, deductive_coverage_numpy),
+    ),
+    "serial": SimEngine(
+        "one forced-value simulation pass per fault (the oracle)",
+        dictionary=True,
+    ),
+}
+
+
+def available_engines(entry_point: str | None = None) -> tuple[str, ...]:
+    """Engine names ``entry_point`` accepts (all when None), sorted, the
+    default first."""
+    names = sorted(
+        name
+        for name, engine in SIM_ENGINES.items()
+        if entry_point is None or entry_point in engine.entry_points
+    )
     names.remove(DEFAULT_ENGINE)
     return (DEFAULT_ENGINE, *names)
 
 
-def unavailable_engines() -> dict[str, str]:
-    """Optional engines that could not register -> why (import error)."""
-    return dict(UNAVAILABLE_ENGINES)
-
-
 def engine_summary(name: str) -> str:
-    """The registry's one-line summary for ``name``."""
-    return SIM_ENGINES[resolve_engine(name)]
+    """The table's one-line summary for ``name``."""
+    return SIM_ENGINES[resolve_engine(name)].summary
 
 
-def resolve_engine(name: str | None) -> str:
-    """Canonical registered engine name (None / ``"auto"`` = default).
+def resolve_engine(name: str | None, entry_point: str | None = None) -> str:
+    """Canonical engine name (None / ``"auto"`` = the default).
 
-    An *optional* engine whose dependency is missing resolves to its
-    :data:`ENGINE_FALLBACKS` entry instead of raising; truly unknown
-    names raise with the list of choices.
+    Names the table does not list, or that ``entry_point`` does not
+    accept, raise a one-line :class:`ValueError` listing the accepted
+    names.
     """
     resolved = DEFAULT_ENGINE if name in (None, "auto") else name
-    if resolved not in SIM_ENGINES:
-        fallback = ENGINE_FALLBACKS.get(resolved)
-        if fallback is not None and fallback in SIM_ENGINES:
-            return fallback
+    accepted = available_engines(entry_point)
+    if resolved not in accepted:
+        where = f" for {entry_point}" if entry_point else ""
         raise ValueError(
-            f"unknown sim engine {resolved!r}; choose from "
-            f"{available_engines()}"
+            f"unknown sim engine {resolved!r}{where}; choose from "
+            f"{', '.join(accepted)}"
         )
     return resolved
-
-
-register_engine(
-    "serial",
-    "one forced-value simulation pass per fault (the oracle)",
-)
-register_engine(
-    "batch",
-    "fault-parallel x pattern-parallel numpy sweep (default)",
-)
-register_engine(
-    "codegen",
-    "per-circuit generated straight-line numpy kernel (opt-in fast "
-    "path; one kernel build per circuit, then ~2x the batch sweep)",
-)
-register_engine(
-    "deductive",
-    "pure-Python deductive fault-list propagation (second oracle)",
-)
-register_engine(
-    "deductive-numpy",
-    "deductive propagation on uint64 bitset matrices",
-)
-register_engine(
-    "event",
-    "batched event simulation: force/unforce fanout-cone updates",
-)

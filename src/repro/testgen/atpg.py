@@ -24,14 +24,8 @@ from ..circuits.structure import fanout_cone
 from ..faults.collapse import collapse_faults
 from ..faults.models import StuckAtFault
 from ..sat.cnf import CNF
-from ..sim.batchevent import event_detected, event_fault_coverage
-from ..sim.batchfault import batch_detected, batch_fault_coverage
-from ..sim.codegen import codegen_detected, codegen_fault_coverage
-from ..sim.deductive import FaultCoverage, deductive_coverage, deductive_detected
-from ..sim.deductive_numpy import (
-    deductive_coverage_numpy,
-    deductive_detected_numpy,
-)
+from ..sim.deductive import FaultCoverage
+from ..sim.engines import ATPG, SIM_ENGINES, resolve_engine
 from ..sat.tseitin import encode_circuit, encode_gate
 from .podem import PodemStatus, podem
 from .scoap import analyze_testability
@@ -43,44 +37,10 @@ __all__ = [
     "compact_patterns",
 ]
 
-#: Fault-simulation engines available for coverage/dropping, as
-#: ``(detect, coverage)`` pairs.  ``"batch"`` (default) is the
-#: fault-parallel numpy engine of :mod:`repro.sim.batchfault` — fastest
-#: on the drop-and-compact workload, where every fault is swept anyway;
-#: ``"deductive"`` is the classic pure-Python one-pass fault-list
-#: propagator kept as the equivalence oracle; ``"deductive-numpy"`` is
-#: its bitset-matrix vectorization (:mod:`repro.sim.deductive_numpy`);
-#: ``"event"`` rides the batched event simulator
-#: (:mod:`repro.sim.batchevent`), re-evaluating only fanout cones;
-#: ``"codegen"`` runs the batch sweep through the per-circuit generated
-#: straight-line kernel (:mod:`repro.sim.codegen`) — the opt-in fast
-#: path when many sweeps hit the same circuit.  All engines produce
-#: identical coverage — the cross-engine differential matrix
-#: (``tests/sim/test_cross_engine.py``) pins this.
-_SIM_ENGINES = {
-    "batch": (batch_detected, batch_fault_coverage),
-    "codegen": (codegen_detected, codegen_fault_coverage),
-    "deductive": (deductive_detected, deductive_coverage),
-    "deductive-numpy": (deductive_detected_numpy, deductive_coverage_numpy),
-    "event": (event_detected, event_fault_coverage),
-}
-
 
 def _sim_engine(name: str):
-    if name not in _SIM_ENGINES:
-        # optional engines degrade to their interpreted twin instead of
-        # raising (mirrors repro.sat.backends.BACKEND_FALLBACKS)
-        from ..sim.engines import ENGINE_FALLBACKS
-
-        fallback = ENGINE_FALLBACKS.get(name)
-        if fallback in _SIM_ENGINES:
-            name = fallback
-        else:
-            raise ValueError(
-                f"unknown sim_engine {name!r}; choose from "
-                f"{sorted(_SIM_ENGINES)}"
-            )
-    return _SIM_ENGINES[name]
+    """``(detect, coverage)`` of the engine table's row for ``name``."""
+    return SIM_ENGINES[resolve_engine(name, ATPG)].atpg
 
 
 @dataclass(frozen=True)
@@ -223,10 +183,11 @@ def generate_tests(
     ``faults`` defaults to the full stuck-at universe, collapsed when
     ``collapse`` is set.  ``backend`` selects ``"podem"`` or ``"sat"``.
     Detected faults are dropped from the target list by fault simulation
-    after every generated pattern; ``sim_engine`` picks the simulator —
-    ``"batch"`` (fault-parallel numpy, default), ``"deductive"`` (the
-    pure-Python fault-list oracle), ``"deductive-numpy"`` (bitset-matrix
-    deductive) or ``"event"`` (batched event-driven) — with identical
+    after every generated pattern; ``sim_engine`` picks the simulator
+    from :data:`repro.sim.engines.SIM_ENGINES` — ``"batch"``
+    (fault-parallel numpy, default), ``"codegen"`` (generated kernel),
+    ``"deductive"`` (the pure-Python fault-list reference) or
+    ``"deductive-numpy"`` (bitset-matrix deductive) — with identical
     coverage any way.
 
     >>> from repro.circuits.library import c17

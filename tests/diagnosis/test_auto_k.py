@@ -53,3 +53,32 @@ def test_auto_k_exhausted(fig5a_circuit):
 def test_auto_k_validation(tiny_workload):
     with pytest.raises(ValueError):
         auto_k_sat_diagnose(tiny_workload.faulty, tiny_workload.tests, k_max=0)
+
+
+def test_auto_k_huge_k_max_stops_at_pool_size(fig5a_circuit, monkeypatch):
+    """No correction is larger than the suspect pool, so an absurd
+    ``k_max`` probes at most |pool| bounds before reporting exhaustion."""
+    from repro.circuits.library import FIG5A_TEST
+    from repro.sat.solver import Solver
+
+    calls = []
+    original = Solver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", counting_solve)
+    tests = TestSet((Test(*FIG5A_TEST),))
+    pool = ["B"]
+    reference = auto_k_sat_diagnose(
+        fig5a_circuit, tests, k_max=len(pool), suspects=pool
+    )
+    reference_calls = len(calls)
+    calls.clear()
+    huge = auto_k_sat_diagnose(
+        fig5a_circuit, tests, k_max=10**6, suspects=pool
+    )
+    assert huge.solutions == reference.solutions == ()
+    assert huge.extras["k_found"] is None and huge.complete
+    assert len(calls) == reference_calls <= len(pool) + 1

@@ -162,3 +162,30 @@ def test_error_sites_recoverable(tiny_workload):
     w = tiny_workload
     result = basic_sat_diagnose(w.faulty, w.tests, k=1)
     assert any(w.sites[0] in sol for sol in result.solutions)
+
+
+def test_huge_k_stops_at_pool_size(fig5a_circuit, fig5a_tests, monkeypatch):
+    """Bounds past the suspect pool admit nothing new, so an absurd ``k``
+    runs exactly the solves of ``k = |pool|``: one per solution plus one
+    closing UNSAT call per bound and the empty-correction probe — at most
+    |pool| + 1 calls that return no model."""
+    from repro.sat.solver import Solver
+
+    outcomes = []
+    original = Solver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        outcomes.append(original(self, *args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(Solver, "solve", counting_solve)
+    pool = len(fig5a_circuit.gate_names)
+    reference = basic_sat_diagnose(fig5a_circuit, fig5a_tests, k=pool)
+    reference_outcomes = list(outcomes)
+    outcomes.clear()
+    huge = basic_sat_diagnose(fig5a_circuit, fig5a_tests, k=10**6)
+    assert set(huge.solutions) == set(reference.solutions)
+    assert huge.complete
+    assert outcomes == reference_outcomes
+    assert outcomes.count(True) == len(huge.solutions)
+    assert len(outcomes) - outcomes.count(True) <= pool + 1

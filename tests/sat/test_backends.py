@@ -85,26 +85,6 @@ def test_registry_contents():
     assert isinstance(create_solver("legacy"), LegacySolver)
 
 
-def test_external_backend_gated_on_import():
-    from repro.sat import external_backend_available
-
-    try:
-        import pysat.solvers  # noqa: F401
-    except ImportError:
-        assert not external_backend_available()
-        assert "pysat" not in available_backends()
-    else:  # pragma: no cover - exercised only with python-sat installed
-        assert external_backend_available()
-        solver = create_solver("pysat")
-        a = solver.new_var()
-        assert solver.add_clause([a])
-        assert solver.solve() is True
-        assert solver.value(a) in (True, None)
-        assert solver.solve([-a]) is False
-        assert set(solver.core()) <= {-a}
-        assert set(solver.stats) >= {"conflicts", "decisions"}
-
-
 def test_compiled_backend_gated_on_import():
     """``arena-jit`` registers only when numba imports; otherwise it is
     listed as unavailable with the reason and *selection degrades* to

@@ -22,7 +22,6 @@ from repro.diagnosis.stuckat import full_fault_list
 from repro.sim import (
     BatchEventSimulator,
     batch_fault_coverage,
-    event_fault_coverage,
     pack_patterns,
     simulate,
     simulate_words,
@@ -129,11 +128,6 @@ def test_churned_fault_sweep_matches_batch_coverage(data, churn_seed):
                 break
     batch = batch_fault_coverage(circuit, patterns, faults)
     assert first_detection == dict(batch.first_detection)
-    # The packaged sweep helper must agree with the hand-driven walk too.
-    event = event_fault_coverage(circuit, patterns, faults)
-    assert dict(event.first_detection) == dict(batch.first_detection)
-    assert event.coverage == batch.coverage
-    assert event.n_patterns == batch.n_patterns
 
 
 def test_force_word_flips_exactly_selected_patterns(maj3):

@@ -8,8 +8,10 @@ Two layers:
   they agree signal-for-signal.
 * **fault-engine matrix** — every pair of fault-simulation engines
   (serial, pattern-parallel, batchfault, codegen, deductive,
-  deductive-numpy, event, batch-event) is compared on seeded random
-  circuits from
+  deductive-numpy) and the two shapes the event-driven simulator runs in
+  (event: one single-pattern simulator per pattern, as a session with
+  one failing test builds it; batch-event: all patterns packed into
+  lanes) is compared on seeded random circuits from
   :mod:`repro.circuits.generator` with seeded pattern sets: they must
   agree on per-pattern detected-fault sets, full output signatures and
   coverage (first-detection indices and counts).  Each engine computes
@@ -28,7 +30,6 @@ from repro.circuits import random_circuit
 from repro.diagnosis.stuckat import fault_signature, full_fault_list
 from repro.sim import (
     BatchEventSimulator,
-    EventSimulator,
     batch_detected,
     batch_fault_coverage,
     codegen_detected,
@@ -38,8 +39,6 @@ from repro.sim import (
     deductive_detected,
     deductive_detected_numpy,
     deductive_fault_lists,
-    event_detected,
-    event_fault_coverage,
     fault_signatures_batch,
     fault_signatures_codegen,
     output_values,
@@ -98,27 +97,22 @@ def test_ternary_equals_scalar_on_binary(data):
 def test_event_sim_equals_scalar_under_forcing(data, force_seed):
     circuit, vectors = data
     rng = random.Random(force_seed)
-    sim = EventSimulator(circuit, vectors[0])
-    current = dict(vectors[0])
+    sim = BatchEventSimulator(circuit, vectors)
     forced: dict[str, int] = {}
-    gates = list(circuit.gate_names)
+    signals = list(circuit.nodes)
     for step in range(8):
-        action = rng.randrange(3)
-        if action == 0:  # flip an input
-            pi = rng.choice(circuit.inputs)
-            current[pi] ^= 1
-            sim.set_inputs({pi: current[pi]})
-        elif action == 1 and gates:  # force a gate
-            g = rng.choice(gates)
-            v = rng.randint(0, 1)
-            forced[g] = v
-            sim.force(g, v)
-        elif forced:  # unforce
-            g = rng.choice(sorted(forced))
-            del forced[g]
-            sim.unforce(g)
-        expected = simulate(circuit, current, forced=forced)
-        assert sim.values() == expected
+        if rng.randrange(3) or not forced:  # force an input or a gate
+            name = rng.choice(signals)
+            forced[name] = rng.randint(0, 1)
+            sim.force(name, forced[name])
+        else:  # unforce
+            name = rng.choice(sorted(forced))
+            del forced[name]
+            sim.unforce(name)
+        for j, vector in enumerate(vectors):
+            assert sim.pattern_values(j) == simulate(
+                circuit, vector, forced=forced
+            )
 
 
 @pytest.mark.slow
@@ -260,10 +254,10 @@ def _sig_event(i):
     circuit, faults, patterns, _ = _case(i)
     rows_per_fault = [[] for _ in faults]
     for pattern in patterns:
-        sim = EventSimulator(circuit, pattern)
+        sim = BatchEventSimulator(circuit, [pattern])
         for k, f in enumerate(faults):
             sim.force(f.signal, f.value)
-            rows_per_fault[k].append(sim.output_values())
+            rows_per_fault[k].append(sim.output_words())
             sim.unforce(f.signal)
     return tuple(
         _words_from_rows(circuit, rows) for rows in rows_per_fault
@@ -367,8 +361,8 @@ ENGINES = {
     ),
     "batch-event": (
         _sig_batch_event,
-        lambda i: _detected_direct(i, event_detected),
-        lambda i: _coverage_direct(i, event_fault_coverage),
+        lambda i: _detected_from_signatures(i, _sig_batch_event(i)),
+        lambda i: _first_detection_from_signatures(i, _sig_batch_event(i)),
     ),
 }
 

@@ -584,3 +584,40 @@ def test_serve_resume_requires_journal(tmp_path):
     stream.write_text("\n".join(_serve_device_lines()) + "\n")
     with pytest.raises(SystemExit, match="--resume requires --journal"):
         main(["serve", str(stream), "--resume"])
+
+
+_MALFORMED_BENCH_ARGS = {
+    "stats": ["{bad}"],
+    "atpg": ["{bad}"],
+    "diagnose": ["{bad}", "{tests}"],
+    "cec": ["{bad}", "c17"],
+    "certify": ["{bad}", "{tests}"],
+    "inject": ["{bad}", "--out", "{out}"],
+    "testgen": ["{bad}", "c17", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MALFORMED_BENCH_ARGS))
+def test_malformed_bench_is_one_line_error(tmp_path, command, capsys):
+    bad = tmp_path / "bad.bench"
+    bad.write_text("INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n")
+    tests = tmp_path / "t.tests"
+    tests.write_text("1 z 0\n")
+    argv = [
+        arg.format(bad=bad, tests=tests, out=tmp_path / "out")
+        for arg in _MALFORMED_BENCH_ARGS[command]
+    ]
+    with pytest.raises(SystemExit) as info:
+        main([command, *argv])
+    assert str(info.value) == f"error: {bad}: line 3: unknown gate type 'FOO'"
+    assert capsys.readouterr().out == ""
+
+
+def test_certify_negative_k_is_one_line_error(tmp_path):
+    tests = tmp_path / "t.tests"
+    tests.write_text("11 z 0\n")
+    bench = tmp_path / "and.bench"
+    bench.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n")
+    with pytest.raises(SystemExit) as info:
+        main(["certify", str(bench), str(tests), "--k", "-1"])
+    assert str(info.value) == "error: k must be non-negative"

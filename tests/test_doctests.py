@@ -32,7 +32,6 @@ MODULE_NAMES = [
     "repro.sim.batchevent",
     "repro.sim.deductive",
     "repro.sim.deductive_numpy",
-    "repro.sim.event",
     "repro.sim.logicsim",
     "repro.sim.parallel",
     "repro.sim.threevalued",

@@ -231,12 +231,12 @@ def test_unknown_sim_engine_rejected(c17):
 
 
 def test_all_sim_engines_produce_identical_flows():
-    """Every registered fault-simulation engine — including the vectorized
-    deductive and batched event ones — must be a drop-in: same patterns,
-    same coverage, same compaction."""
+    """Every fault-simulation engine ATPG accepts — including the
+    generated kernel and the vectorized deductive one — must be a
+    drop-in: same patterns, same coverage, same compaction."""
     circuit = random_circuit(n_inputs=6, n_outputs=3, n_gates=30, seed=21)
     reference = generate_tests(circuit, seed=4, sim_engine="deductive")
-    for engine in ("batch", "deductive-numpy", "event"):
+    for engine in ("batch", "codegen", "deductive-numpy"):
         result = generate_tests(circuit, seed=4, sim_engine=engine)
         assert result.patterns == reference.patterns, engine
         assert (
@@ -251,7 +251,7 @@ def test_all_compaction_engines_agree(c17):
     faults = list(result.target_faults)
     patterns = [dict(p) for p in result.patterns]
     reference = compact_patterns(c17, patterns, faults, sim_engine="deductive")
-    for engine in ("batch", "deductive-numpy", "event"):
+    for engine in ("batch", "codegen", "deductive-numpy"):
         assert (
             compact_patterns(c17, patterns, faults, sim_engine=engine)
             == reference
