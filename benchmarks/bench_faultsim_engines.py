@@ -24,6 +24,14 @@ the vectorized deductive engine must beat the pure-Python propagator by
 ≥5× and the generated kernel must beat the interpreted batch sweep by
 ≥2× on the detect leg (both asserted, and recorded for EXPERIMENTS.md).
 
+A third leg times the diagnosis singleton sweep
+(:func:`repro.diagnosis.validity.single_gate_rect_words`), which
+evaluates only the fan-in cones of the observed outputs, against the
+full sweep of every gate kept here as the reference, on sim1423 and
+sim6669 devices with m = 8 failing tests.  The words must be
+bit-identical and the restricted sweep ≥2× faster over the devices of
+both designs.
+
 Artifacts: ``benchmarks/out/faultsim_engines.txt`` (human-readable) and
 ``benchmarks/out/faultsim_engines.json`` whose ``gated_ratios`` block is
 diffed against the committed ``BENCH_faultsim.json`` by
@@ -31,16 +39,27 @@ diffed against the committed ``BENCH_faultsim.json`` by
 """
 
 import json
+import os
+import platform
 import random
 import time
 
+import numpy as np
 from conftest import write_artifact
 
 from repro.circuits import random_circuit
+from repro.diagnosis.validity import (
+    _lanes_to_word,
+    single_gate_rect_words,
+    want_care_lanes,
+)
+from repro.experiments import make_workload
 from repro.faults import full_stuck_at_universe
+from repro.faults.models import StuckAtFault
 from repro.sim import (
     batch_detected,
     batch_fault_coverage,
+    batch_output_lanes,
     codegen_detected,
     codegen_fault_coverage,
     compile_kernel,
@@ -70,6 +89,15 @@ MIN_DEDUCTIVE_SPEEDUP = 5.0
 #: recorded and drift-gated only, as it sits closer to 1 once
 #: batchfault's allocations are warm.
 MIN_CODEGEN_SPEEDUP = 1.5
+#: Singleton-sweep leg: designs and (p, seed) workloads, m = 8 each.
+SINGLETON_DESIGNS = ("sim1423", "sim6669")
+SINGLETON_DEVICES = ((1, 0), (2, 1), (1, 2), (2, 3))
+#: Floor on the cone-restricted singleton sweep vs the full sweep, summed
+#: over the devices of both designs.  Per design it measures ~2.5x
+#: (sim1423, whose observed cones cover about half the circuit) and
+#: ~6x (sim6669); the per-design ratios are drift-gated against
+#: ``BENCH_faultsim.json``.
+MIN_SINGLETON_SPEEDUP = 2.0
 #: Repetitions per timed engine call; the minimum is kept.  Single cold
 #: calls on shared runners carry page-fault and scheduler noise that
 #: swamps a 2x ratio — the least-contended observation is the stable one.
@@ -109,6 +137,48 @@ def _best_of(fn, repeats=TIMING_REPEATS):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _full_singleton_words(circuit, tests, pool):
+    """Reference singleton words: both stuck-at rows of every pool gate
+    swept over the whole circuit, every output compared."""
+    mask = (1 << len(tests)) - 1
+    want, care, _ = want_care_lanes(circuit, tests)
+    faults = [StuckAtFault(g, v) for g in pool for v in (0, 1)]
+    lanes, _, _ = batch_output_lanes(circuit, faults, tests.vectors())
+    miss = np.bitwise_or.reduce((lanes ^ want) & care, axis=1)
+    return {
+        g: mask & ~_lanes_to_word(miss[2 * i] & miss[2 * i + 1], mask)
+        for i, g in enumerate(pool)
+    }
+
+
+def _singleton_sweep_leg():
+    """Per design: summed min-of-N times of the full and the restricted
+    sweep over the devices, after asserting bit-identical words."""
+    legs = {}
+    for design in SINGLETON_DESIGNS:
+        t_full = t_cone = 0.0
+        for p, seed in SINGLETON_DEVICES:
+            w = make_workload(design, p=p, m_max=8, seed=seed)
+            pool = list(w.faulty.gate_names)
+            t, full = _best_of(
+                lambda: _full_singleton_words(w.faulty, w.tests, pool)
+            )
+            t_full += t
+            t, cone = _best_of(
+                lambda: single_gate_rect_words(w.faulty, w.tests, pool)
+            )
+            t_cone += t
+            assert cone == full, (design, p, seed)
+        legs[design] = {
+            "gates": w.faulty.num_gates,
+            "devices": len(SINGLETON_DEVICES),
+            "t_full": t_full,
+            "t_cone": t_cone,
+            "speedup": t_full / max(t_cone, 1e-9),
+        }
+    return legs
 
 
 def _serial(circuit, vector, faults):
@@ -203,6 +273,11 @@ def test_record_speedup_artifact(benchmark):
     )
     speedup = t_cov_py / max(t_cov_np, 1e-9)
     codegen_cov_speedup = t_cov_bf / max(t_cov_cg, 1e-9)
+
+    singleton = _singleton_sweep_leg()
+    singleton_speedup = sum(leg["t_full"] for leg in singleton.values()) / max(
+        sum(leg["t_cone"] for leg in singleton.values()), 1e-9
+    )
     write_artifact(
         "faultsim_engines.txt",
         "\n".join(
@@ -229,6 +304,17 @@ def test_record_speedup_artifact(benchmark):
                 f"speedup codegen vs batchfault: {codegen_cov_speedup:.1f}x",
                 f"coverage: {100 * cov_np.coverage:.1f}% "
                 f"({len(cov_np.detected)}/{len(big_faults)})",
+                "",
+                f"singleton sweep: {len(SINGLETON_DEVICES)} devices per "
+                "design, m=8, all gates in the pool",
+                *(
+                    f"{design}: full {leg['t_full'] * 1e3:.1f} ms, "
+                    f"cone-restricted {leg['t_cone'] * 1e3:.1f} ms, "
+                    f"{leg['speedup']:.1f}x"
+                    for design, leg in singleton.items()
+                ),
+                f"speedup cone-restricted vs full: {singleton_speedup:.1f}x "
+                f"(floor {MIN_SINGLETON_SPEEDUP:.1f}x)",
             ]
         ),
     )
@@ -253,10 +339,21 @@ def test_record_speedup_artifact(benchmark):
                     "t_batchfault": t_cov_bf,
                     "t_codegen": t_cov_cg,
                 },
+                "singleton_sweep": singleton,
                 "gated_ratios": {
                     "faultsim:deductive_numpy": speedup,
                     "faultsim:codegen_detect": codegen_detect_speedup,
                     "faultsim:codegen_coverage": codegen_cov_speedup,
+                    "faultsim:singleton_cone": singleton_speedup,
+                    **{
+                        f"faultsim:singleton_cone_{design}": leg["speedup"]
+                        for design, leg in singleton.items()
+                    },
+                },
+                "machine": {
+                    "cores": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
                 },
             },
             indent=1,
@@ -270,4 +367,8 @@ def test_record_speedup_artifact(benchmark):
     assert codegen_detect_speedup >= MIN_CODEGEN_SPEEDUP, (
         f"codegen only {codegen_detect_speedup:.1f}x over the batch sweep "
         f"(need >= {MIN_CODEGEN_SPEEDUP}x)"
+    )
+    assert singleton_speedup >= MIN_SINGLETON_SPEEDUP, (
+        f"cone-restricted singleton sweep only {singleton_speedup:.1f}x "
+        f"over the full sweep (need >= {MIN_SINGLETON_SPEEDUP}x)"
     )

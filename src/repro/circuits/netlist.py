@@ -181,12 +181,23 @@ class Circuit:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        """All functional gates (excludes inputs, constants and DFFs)."""
-        return tuple(g for g in self._nodes.values() if g.is_functional)
+        """All functional gates (excludes inputs, constants and DFFs;
+        cached until the next mutation)."""
+        cached = self._cache.get("gates")
+        if cached is None:
+            cached = tuple(
+                g for g in self._nodes.values() if g.is_functional
+            )
+            self._cache["gates"] = cached
+        return cached  # type: ignore[return-value]
 
     @property
     def gate_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.gates)
+        cached = self._cache.get("gate_names")
+        if cached is None:
+            cached = tuple(g.name for g in self.gates)
+            self._cache["gate_names"] = cached
+        return cached  # type: ignore[return-value]
 
     @property
     def dffs(self) -> tuple[Gate, ...]:
@@ -219,6 +230,24 @@ class Circuit:
             cached = {k: tuple(v) for k, v in result.items()}
             self._cache["fanouts"] = cached
         return cached  # type: ignore[return-value]
+
+    def fanin_cone(self, signal: str) -> frozenset[str]:
+        """Every signal in the transitive fan-in of ``signal``, itself
+        included (cached per signal until the next mutation).
+
+        The structural cone crosses DFFs, like
+        :func:`repro.circuits.structure.fanin_cone`.  Forcing a signal
+        outside the cone of output ``o`` cannot change ``o``: the
+        diagnosis sweeps, conflicts and encodings restrict to it.
+        """
+        cones = self._cache.get("fanin_cones")
+        if cones is None:
+            cones = self._cache["fanin_cones"] = {}
+        cached = cones.get(signal)  # type: ignore[union-attr]
+        if cached is None:
+            cached = frozenset(subcircuit_names(self, (signal,)))
+            cones[signal] = cached  # type: ignore[index]
+        return cached
 
     def topological_order(self) -> tuple[str, ...]:
         """Signal names in topological order (fanins before fanouts).

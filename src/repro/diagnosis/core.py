@@ -21,8 +21,8 @@ Three layers:
   :meth:`~DiagnosisSession.score`, :meth:`~DiagnosisSession.consistent`
   and :meth:`~DiagnosisSession.refine` for arbitrary suspect sets.
 * :class:`CandidateSpace` — a (possibly refined) suspect pool with lazy,
-  engine-backed per-gate scoring: one fault-parallel sweep (or shared-sim
-  what-ifs) yields each gate's *rectification word* — which observations
+  engine-backed per-gate scoring: one cone-restricted fault-parallel
+  sweep yields each gate's *rectification word* — which observations
   a single forced value at the gate can fix — and the vectorized
   deductive engine (:func:`repro.sim.deductive_numpy`) yields the same
   sets from fault lists, giving strategies both views of the space.
@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..circuits.netlist import Circuit
-from ..circuits.structure import fanin_cone, levels
+from ..circuits.structure import levels
 from ..sat.cnf import CNF
 from ..sat.solver import Solver
 from ..sat.tseitin import encode_gate, encode_mux
@@ -237,7 +237,6 @@ class DiagnosisSession:
         self._sim_results: dict[tuple[str, int], SimDiagnosisResult] = {}
         self._spaces: dict[tuple[str, ...] | None, CandidateSpace] = {}
         self._levels: dict[str, int] | None = None
-        self._fanin_cones: dict[str, frozenset[str]] = {}
         self._rectify_solvers: dict[
             tuple[int, tuple[str, ...], str | None],
             tuple[Solver, dict[str, int]],
@@ -344,21 +343,21 @@ class DiagnosisSession:
         return self._levels
 
     def fanin_gates(self, output: str) -> frozenset[str]:
-        """Functional gates in the fan-in cone of ``output`` (cached).
+        """Functional gates in the fan-in cone of ``output``.
 
         Sound conflict structure: a correction that rectifies a failing
         observation at ``output`` must change the output's value, so it
-        must contain at least one gate of this cone.
+        must contain at least one gate of this cone.  The cone itself is
+        cached on the circuit (:meth:`~repro.circuits.netlist.Circuit.
+        fanin_cone`), shared by every session on the design.
         """
-        cached = self._fanin_cones.get(output)
-        if cached is None:
-            circuit = self._require_circuit()
-            gates = set(circuit.gate_names)
-            cached = frozenset(
-                fanin_cone(circuit, output, include_self=True) & gates
-            )
-            self._fanin_cones[output] = cached
-        return cached
+        circuit = self._require_circuit()
+        nodes = circuit.nodes
+        return frozenset(
+            name
+            for name in circuit.fanin_cone(output)
+            if nodes[name].is_functional
+        )
 
     # ------------------------------------------------------------------
     # candidate evaluation
@@ -598,11 +597,13 @@ class CandidateSpace:
 
     Two engines compute the same per-gate view of the space:
 
-    * the fault-parallel sweep / shared-sim what-ifs give each gate's
-      *rectification word* (forcing a single value at the gate is a
-      stuck-at signature, so candidate ``{g}`` rectifies observation
-      ``j`` iff one of the two forced responses realizes the correct
-      value there);
+    * one fault-parallel sweep gives each gate's *rectification word*
+      (forcing a single value at the gate is a stuck-at signature, so
+      candidate ``{g}`` rectifies observation ``j`` iff one of the two
+      forced responses realizes the correct value there).  The sweep
+      evaluates only the fan-in cones of the observed outputs; a pool
+      gate outside all of them gets the passing-observation word, which
+      is exact (:func:`repro.diagnosis.validity.single_gate_rect_words`);
     * the vectorized deductive engine's fault lists
       (:func:`repro.sim.deductive_numpy.deductive_fault_lists_numpy`)
       give, per observation, the gates whose single stuck-at flips the
@@ -631,31 +632,21 @@ class CandidateSpace:
     def __len__(self) -> int:
         return len(self.pool)
 
-    # -- engine 1: forced-value what-ifs --------------------------------
-    def singleton_rect_words(self, engine: str = "auto") -> dict[str, int]:
-        """Per-gate rectification words, one engine sweep for the pool.
+    # -- engine 1: the forced-value sweep -------------------------------
+    def singleton_rect_words(self) -> dict[str, int]:
+        """Per-gate rectification words, one sweep for the pool (cached).
 
-        Delegates to :func:`repro.diagnosis.validity.
-        single_gate_rect_words` (one implementation for the screen and
-        the session): ``engine="batch"`` stacks both stuck-at polarities
-        of every pool gate on the fault-parallel batch axis (best when
-        most of the circuit is in play); ``engine="event"`` walks the
-        pool on the session's shared lane simulator, paying only each
-        gate's fanout cone (best for small refined pools).  ``"auto"``
-        picks by pool fraction.  Identical results either way.
+        Delegates to the system's
+        :meth:`~repro.diagnosis.system.SystemDescription.
+        singleton_rect_words`; on circuits that is
+        :func:`repro.diagnosis.validity.single_gate_rect_words`, one
+        implementation for the screen and the session.
         """
-        if self._singleton_words is not None:
-            return dict(self._singleton_words)
-        if engine not in ("auto", "batch", "event"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'auto', 'batch' or "
-                "'event'"
+        if self._singleton_words is None:
+            self._singleton_words = (
+                self.session.system.singleton_rect_words(self.pool)
             )
-        words = self.session.system.singleton_rect_words(
-            self.pool, engine=engine
-        )
-        self._singleton_words = words
-        return dict(words)
+        return dict(self._singleton_words)
 
     def singletons(self) -> list[str]:
         """Pool gates that are valid size-1 corrections, pool order."""

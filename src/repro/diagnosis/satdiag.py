@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..circuits.netlist import Circuit
-from ..circuits.structure import fanin_cone
 from ..sat.budget import SearchInterrupted
 from ..sat.cardinality import IncrementalTotalizer
 from ..sat.cnf import CNF
@@ -504,7 +503,6 @@ class MasterEncodingSkeleton:
             g: j + 1 for j, g in enumerate(self.suspects)
         }
         self._topo = circuit.topological_order()
-        self._cones: dict[str, frozenset[str]] = {}
         self._templates: dict[str | None, _ConeTemplate] = {}
         self._lock = threading.Lock()
         self.stats = {"templates_built": 0, "instances": 0}
@@ -512,16 +510,6 @@ class MasterEncodingSkeleton:
     # ------------------------------------------------------------------
     # per-design artifacts
     # ------------------------------------------------------------------
-    def output_cone(self, out: str) -> frozenset[str]:
-        """Fan-in cone of ``out`` (cached per design)."""
-        cached = self._cones.get(out)
-        if cached is None:
-            cached = frozenset(
-                fanin_cone(self.circuit, out, include_self=True)
-            )
-            self._cones[out] = cached
-        return cached
-
     def _template(self, key: str | None) -> _ConeTemplate:
         tpl = self._templates.get(key)
         if tpl is not None:
@@ -543,10 +531,10 @@ class MasterEncodingSkeleton:
         circuit = self.circuit
         if key is None:
             cone = frozenset().union(
-                *(self.output_cone(out) for out in circuit.outputs)
+                *map(circuit.fanin_cone, circuit.outputs)
             )
         else:
-            cone = self.output_cone(key)
+            cone = circuit.fanin_cone(key)
         scratch = CNF()
         for g in self.suspects:
             scratch.new_var(f"s:{g}")

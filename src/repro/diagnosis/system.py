@@ -122,13 +122,14 @@ class SystemDescription(ABC):
         return self.all_mask & ~self.session.rect_word(())
 
     @abstractmethod
-    def singleton_rect_words(
-        self, pool: Sequence[str], engine: str = "auto"
-    ) -> dict[str, int]:
+    def singleton_rect_words(self, pool: Sequence[str]) -> dict[str, int]:
         """Per-component rectification words for a pool, in one sweep.
 
-        ``engine`` selects the circuit sweep implementation; non-circuit
-        systems only support ``"auto"``.
+        Bit ``j`` of component ``c``'s word is set iff the singleton
+        candidate ``{c}`` rectifies observation ``j``; the result maps
+        every pool component to its word.  Circuits compute them in one
+        cone-restricted fault-parallel sweep
+        (:func:`repro.diagnosis.validity.single_gate_rect_words`).
         """
 
     def observation_candidate_sets(
@@ -221,16 +222,10 @@ class CircuitSystem(SystemDescription):
         if gates:
             singles = session.space().singleton_rect_words()
             for g in gates:
-                single = singles.get(g)
-                if single is None:
-                    node = session.circuit.nodes.get(g)
-                    if node is None or not node.is_functional:
-                        # Not a pool gate (e.g. a primary-input fault
-                        # site): no singleton fast path; the exact check
-                        # below keeps the legacy forced-value semantics.
-                        continue
-                    single = session.space((g,)).singleton_rect_words()[g]
-                word |= single
+                # A name outside the pool (not a functional gate, e.g. a
+                # primary-input fault site) has no singleton fast path;
+                # the exact check below keeps the forced-value semantics.
+                word |= singles.get(g, 0)
         if word != session.all_mask:
             gate_list = tuple(sorted(gates))
             for j, test in enumerate(session.tests):
@@ -254,25 +249,15 @@ class CircuitSystem(SystemDescription):
                 word |= 1 << j
         return word
 
-    def singleton_rect_words(
-        self, pool: Sequence[str], engine: str = "auto"
-    ) -> dict[str, int]:
+    def singleton_rect_words(self, pool: Sequence[str]) -> dict[str, int]:
         from .validity import single_gate_rect_words
 
         session = self.session
-        if engine == "auto":
-            engine = (
-                "event"
-                if len(pool) * 4 < session.circuit.num_gates
-                else "batch"
-            )
         return single_gate_rect_words(
             session.circuit,
             session.tests,
             pool,
             session.constrain_all_outputs,
-            engine=engine,
-            sim=session.sim if engine == "event" else None,
         )
 
     def observation_candidate_sets(
@@ -532,13 +517,7 @@ class GroupedCNFSystem(SystemDescription):
                 word |= 1 << j
         return word
 
-    def singleton_rect_words(
-        self, pool: Sequence[str], engine: str = "auto"
-    ) -> dict[str, int]:
-        if engine != "auto":
-            raise ValueError(
-                "engine selection applies to circuit systems only"
-            )
+    def singleton_rect_words(self, pool: Sequence[str]) -> dict[str, int]:
         session = self.session
         if session is not None:
             return {c: session.rect_word((c,)) for c in pool}
@@ -787,13 +766,7 @@ class SpectrumSystem(SystemDescription):
                 word |= 1 << j
         return word
 
-    def singleton_rect_words(
-        self, pool: Sequence[str], engine: str = "auto"
-    ) -> dict[str, int]:
-        if engine != "auto":
-            raise ValueError(
-                "engine selection applies to circuit systems only"
-            )
+    def singleton_rect_words(self, pool: Sequence[str]) -> dict[str, int]:
         pass_word = 0
         for j, (_, passed) in enumerate(self.rows):
             if passed:

@@ -23,7 +23,6 @@ from ..circuits.netlist import Circuit
 from ..faults.models import StuckAtFault
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_gate
-from ..sim.batchevent import BatchEventSimulator
 from ..sim.batchfault import _lane_mask, batch_output_lanes
 from ..sim.parallel import pack_patterns_numpy, simulate_words
 from ..testgen.testset import Test, TestSet
@@ -147,19 +146,24 @@ def is_valid_correction(
 
 
 def want_care_lanes(
-    circuit: Circuit, tests: TestSet, constrain_all_outputs: bool = False
+    circuit: Circuit,
+    tests: TestSet,
+    constrain_all_outputs: bool = False,
+    outputs: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """``(want, care, lanes)`` response-goal lanes for a test-set.
 
     Bit ``j`` of ``care[o]`` is set iff test ``j`` constrains output
     ``o``; ``want`` carries the required value there.  Single
     failing-output semantics by default; with ``constrain_all_outputs``
-    every output is constrained to its golden value.  Shared by the
-    single-gate screens below and the
+    every output is constrained to its golden value.  Rows follow
+    ``outputs`` (default: every circuit output, in circuit order); a
+    test whose failing output is not among them raises ``ValueError``.
+    Shared by the single-gate screens below and the
     :class:`~repro.diagnosis.core.DiagnosisSession` caches.
     """
     m = len(tests)
-    outputs = circuit.outputs
+    outputs = circuit.outputs if outputs is None else tuple(outputs)
     if constrain_all_outputs:
         for t in tests:
             if t.expected_outputs is None:
@@ -194,77 +198,73 @@ def _lanes_to_word(lanes: np.ndarray, mask: int) -> int:
     return int.from_bytes(raw.tobytes(), "little") & mask
 
 
+def _rows_to_words(rows: np.ndarray, mask: int) -> list[int]:
+    """:func:`_lanes_to_word` for every row of a ``(n, lanes)`` array."""
+    raw = np.ascontiguousarray(rows).astype("<u8", copy=False).tobytes()
+    step = rows.shape[1] * 8
+    return [
+        int.from_bytes(raw[i : i + step], "little") & mask
+        for i in range(0, len(raw), step)
+    ]
+
+
 def single_gate_rect_words(
     circuit: Circuit,
     tests: TestSet | Iterable[Test],
     pool: Sequence[str],
     constrain_all_outputs: bool = False,
-    engine: str = "batch",
-    sim: BatchEventSimulator | None = None,
 ) -> dict[str, int]:
     """Per-gate *rectification words* over ``pool``, one engine sweep.
 
     Bit ``j`` of the word for gate ``g`` is set iff some single forced
     value at ``g`` rectifies test ``j`` (a stuck-at signature realizes
-    the correct response).  ``engine="batch"`` computes all ``2·|pool|``
-    signatures in one fault-parallel sweep (:mod:`repro.sim.batchfault`)
-    — fastest when most of the circuit is in play; ``engine="event"``
-    walks the pool on a :class:`~repro.sim.batchevent.
-    BatchEventSimulator` (``sim`` reuses a prepared one, e.g. a
-    session's), paying only each candidate's fanout cone.  Identical
-    results either way (the differential suite asserts this).
+    the correct response).  Only the outputs the tests constrain matter
+    (every output under ``constrain_all_outputs``), so one fault-parallel
+    sweep (:func:`repro.sim.batchfault.batch_output_lanes` with
+    ``outputs=``) evaluates just ``U``, the union of their fan-in cones,
+    with both stuck-at rows of every pool gate inside ``U``.  Forcing a
+    gate outside ``U`` changes no constrained output, so such a gate
+    rectifies exactly the tests that already pass: its word is read off
+    the same sweep's fault-free row.  Every word is bit-identical to a
+    sweep of the whole circuit with both rows of every pool gate.
     """
-    if engine not in ("batch", "event"):
-        raise ValueError(
-            f"unknown engine {engine!r}; choose 'batch' or 'event'"
-        )
     tests = tests if isinstance(tests, TestSet) else TestSet(tuple(tests))
     pool = list(pool)
     if not len(tests) or not pool:
         return {g: 0 for g in pool}
+    for gate in pool:
+        if gate not in circuit.nodes:
+            raise ValueError(
+                f"fault site {gate!r} is not a signal of "
+                f"circuit {circuit.name!r}"
+            )
     mask = (1 << len(tests)) - 1
-    patterns = tests.vectors()
-    want, care, _ = want_care_lanes(circuit, tests, constrain_all_outputs)
-    words: dict[str, int] = {}
-    if engine == "event":
-        if sim is None:
-            sim = BatchEventSimulator(circuit, patterns)
-        for gate in pool:  # same rejection as the batch path's sweep
-            if gate not in circuit.nodes:
-                raise ValueError(
-                    f"fault site {gate!r} is not a signal of "
-                    f"circuit {circuit.name!r}"
-                )
-        for gate in pool:
-            # One word per (value, lane): a set bit marks a test the
-            # forced value fails to rectify.  The unforce must run even
-            # on failure: ``sim`` may be a session's shared simulator.
-            miss = []
-            try:
-                for value in (0, 1):
-                    sim.force(gate, value)
-                    miss.append(
-                        np.bitwise_or.reduce(
-                            (sim.output_lanes() ^ want) & care, axis=0
-                        )
-                    )
-            finally:
-                sim.unforce(gate)
-            # Candidate {g} fails a test only when *both* values miss it.
-            words[gate] = mask & ~_lanes_to_word(miss[0] & miss[1], mask)
-        return words
+    if constrain_all_outputs:
+        outputs = circuit.outputs
+    else:
+        observed = {t.output for t in tests}
+        outputs = tuple(o for o in circuit.outputs if o in observed)
+    want, care, _ = want_care_lanes(
+        circuit, tests, constrain_all_outputs, outputs
+    )
+    cone = frozenset().union(*map(circuit.fanin_cone, outputs))
+    swept = [gate for gate in pool if gate in cone]
     faults = [
-        StuckAtFault(gate, value) for gate in pool for value in (0, 1)
+        StuckAtFault(gate, value) for gate in swept for value in (0, 1)
     ]
-    fault_lanes, _, _ = batch_output_lanes(circuit, faults, patterns)
+    fault_lanes, good, _ = batch_output_lanes(
+        circuit, faults, tests.vectors(), outputs=outputs
+    )
+    # A set bit marks a test the fault-free circuit fails.
+    failing = np.bitwise_or.reduce((good ^ want) & care, axis=0)
+    words = dict.fromkeys(pool, mask & ~_lanes_to_word(failing, mask))
     # One word per (row, lane): a set bit marks a test the forced value
     # fails to rectify.
     miss = np.bitwise_or.reduce((fault_lanes ^ want) & care, axis=1)
     # Candidate {g} fails a test only when *both* forced values miss it.
-    for i, gate in enumerate(pool):
-        words[gate] = mask & ~_lanes_to_word(
-            miss[2 * i] & miss[2 * i + 1], mask
-        )
+    both = _rows_to_words(miss[0::2] & miss[1::2], mask)
+    for gate, fails in zip(swept, both):
+        words[gate] = mask & ~fails
     return words
 
 
@@ -273,7 +273,6 @@ def valid_single_gate_corrections(
     tests: TestSet | Iterable[Test],
     pool: Sequence[str],
     constrain_all_outputs: bool = False,
-    engine: str = "batch",
 ) -> list[str]:
     """All gates of ``pool`` that are valid size-1 corrections, batched.
 
@@ -287,7 +286,7 @@ def valid_single_gate_corrections(
     if not len(tests) or not pool:
         return pool
     words = single_gate_rect_words(
-        circuit, tests, pool, constrain_all_outputs, engine
+        circuit, tests, pool, constrain_all_outputs
     )
     mask = (1 << len(tests)) - 1
     return [g for g in pool if words[g] == mask]

@@ -42,10 +42,12 @@ Engine selection guide
 * :class:`BatchEventSimulator` — incremental re-evaluation: force/unforce
   whole uint64 pattern words at once, re-evaluating only the fanout
   cone.  Backs the :class:`~repro.diagnosis.core.DiagnosisSession`
-  what-if loop of :mod:`repro.diagnosis.advanced_sim` and the
-  ``engine="event"`` candidate screen of :mod:`repro.diagnosis.validity`.
-  Not a fault-simulation engine: a force/unforce cycle per fault swept
-  the 663-gate coverage workload ~13× slower than batchfault.
+  what-if loop of :mod:`repro.diagnosis.advanced_sim`.  Not a
+  fault-simulation engine: a force/unforce cycle per fault swept the
+  663-gate coverage workload ~13× slower than batchfault.  Nor is it the
+  singleton candidate screen any more: from 10-gate pools up, one
+  :func:`batch_output_lanes` sweep restricted to the observed outputs'
+  fan-in cones (``outputs=``) beats a force/unforce cycle per gate.
 * :mod:`repro.sim.codegen` (:func:`compile_kernel`,
   :func:`codegen_detected`, :func:`codegen_fault_coverage`,
   :func:`exact_match_faults_codegen`) — the compiled floor of the

@@ -20,8 +20,10 @@ Engine economics: :func:`repro.sim.batchfault.batch_fault_coverage` wins
 when every fault must be swept anyway (it amortizes the netlist walk over
 the whole batch); the event simulator wins when changes arrive one at a
 time and cones are small — the interactive what-if loop of
-:mod:`repro.diagnosis.advanced_sim` and candidate screening over a
-narrowed pool.  It is not a fault-simulation engine of
+:mod:`repro.diagnosis.advanced_sim`.  Single-gate candidate screening
+left it: one batchfault sweep restricted to the observed outputs'
+fan-in cones beat a force/unforce cycle per gate from 10-gate pools
+up.  It is not a fault-simulation engine of
 :mod:`repro.sim.engines`: sweeping every fault through it measured
 ~13× slower than ``batchfault``.
 """

@@ -124,6 +124,7 @@ def _sweep(
     faults: Sequence[StuckAtFault],
     input_lanes: Mapping[str, np.ndarray],
     lanes: int,
+    cone: frozenset[str] | None = None,
 ) -> np.ndarray:
     """One batched netlist pass.
 
@@ -131,11 +132,19 @@ def _sweep(
     len(faults)`` has fault ``k`` forced, the final row is fault-free.
     All gate evaluations write in place into the one preallocated buffer —
     no per-gate allocation, which keeps the cold-cache sweep as fast as a
-    warm one.
+    warm one.  With ``cone`` only those signals are assigned and
+    evaluated (it must be closed under fan-in); the other signals'
+    slices of the buffer stay uninitialised.
     """
     rows = len(faults) + 1
     rows0, rows1 = _fault_rows(comp, faults)
     buf = np.empty((comp.n, rows, lanes), dtype=np.uint64)
+    inputs = comp.circuit.inputs
+    eval_order = comp.eval_order
+    if cone is not None:
+        names = comp.names
+        inputs = [name for name in inputs if name in cone]
+        eval_order = [idx for idx in eval_order if names[idx] in cone]
 
     def place(idx: int) -> None:
         r0 = rows0.get(idx)
@@ -145,11 +154,11 @@ def _sweep(
         if r1:
             buf[idx, r1] = _ALL_ONES
 
-    for name in comp.circuit.inputs:
+    for name in inputs:
         idx = comp.index[name]
         buf[idx] = input_lanes[name]  # broadcast over the fault rows
         place(idx)
-    for idx in comp.eval_order:
+    for idx in eval_order:
         gtype = comp.gtypes[idx]
         fin = comp.fanins[idx]
         v = buf[idx]
@@ -189,28 +198,37 @@ def _lane_mask(n_patterns: int, lanes: int) -> np.ndarray:
     return mask
 
 
-def _output_stack(comp: CompiledCircuit, buf: np.ndarray) -> np.ndarray:
+def _output_stack(
+    buf: np.ndarray, output_indices: Sequence[int]
+) -> np.ndarray:
     """Extract outputs into a ``(rows, n_outputs, lanes)`` array.
 
     The fancy index copies (so the full sweep buffer is not kept alive);
     the transpose stays a view — downstream XOR/popcount reductions handle
     the strides.
     """
-    return buf[list(comp.output_indices)].transpose(1, 0, 2)
+    return buf[list(output_indices)].transpose(1, 0, 2)
 
 
 def batch_output_lanes(
     circuit: Circuit,
     faults: Sequence[StuckAtFault],
     patterns: Sequence[Mapping[str, int]],
+    outputs: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Low-level batched sweep: output words for all faults at once.
 
     Returns ``(fault_lanes, good_lanes, lane_mask)`` where ``fault_lanes``
     has shape ``(len(faults), n_outputs, lanes)`` (outputs in circuit
-    output order), ``good_lanes`` is the fault-free response
-    ``(n_outputs, lanes)``, and ``lane_mask`` clears the padding bits of
-    the last lane.  Padding bits are *not* pre-masked in the value arrays.
+    output order unless ``outputs`` is given), ``good_lanes`` is the
+    fault-free response ``(n_outputs, lanes)``, and ``lane_mask`` clears
+    the padding bits of the last lane.  Padding bits are *not* pre-masked in the value arrays.
+
+    ``outputs`` restricts the sweep to those signals' fan-in cones
+    (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`): only the
+    union of the cones is evaluated, and only those signals are
+    returned, in the order given.  A fault outside the union cannot
+    change them, so its row equals the fault-free row.
 
     Pattern sets too wide for the ~256 MB sweep-buffer budget are swept in
     lane-aligned blocks and concatenated, so memory stays bounded by the
@@ -219,6 +237,12 @@ def batch_output_lanes(
     if not patterns:
         raise ValueError("need at least one pattern")
     comp = compile_circuit(circuit)
+    if outputs is None:
+        cone = None
+        output_indices: Sequence[int] = comp.output_indices
+    else:
+        cone = frozenset().union(*map(circuit.fanin_cone, outputs))
+        output_indices = [comp.index[name] for name in outputs]
     rows = len(faults) + 1
     per_lane = comp.n * rows * 8
     block_lanes = max(1, _SWEEP_BUDGET // max(per_lane, 1))
@@ -227,8 +251,8 @@ def batch_output_lanes(
     for start in range(0, len(patterns), block):
         chunk = patterns[start : start + block]
         input_lanes, lanes = pack_patterns_numpy(chunk, circuit.inputs)
-        buf = _sweep(comp, faults, input_lanes, lanes)
-        stacks.append(_output_stack(comp, buf))
+        buf = _sweep(comp, faults, input_lanes, lanes, cone)
+        stacks.append(_output_stack(buf, output_indices))
     stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=2)
     lanes = stack.shape[2]
     return stack[:-1], stack[-1], _lane_mask(len(patterns), lanes)

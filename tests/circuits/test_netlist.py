@@ -113,6 +113,37 @@ def test_replace_gate_invalidates_caches():
     assert c.topological_order()  # recomputable
 
 
+def test_gate_lists_refresh_on_mutation():
+    c = build_half_adder()
+    assert c.gate_names == ("sum", "carry")
+    assert c.gates is c.gates  # cached until the next mutation
+    assert c.num_gates == 2
+    c.add_gate("nsum", GateType.NOT, ["sum"])
+    assert c.gate_names == ("sum", "carry", "nsum")
+    assert [g.name for g in c.gates] == ["sum", "carry", "nsum"]
+    assert c.num_gates == 3
+    c.replace_gate("nsum", gtype=GateType.BUF)
+    assert c.gates[-1].gtype is GateType.BUF
+    c.add_gate("dff", GateType.DFF, ["nsum"])  # not functional
+    assert c.gate_names == ("sum", "carry", "nsum")
+    assert c.num_gates == 3
+
+
+def test_fanin_cone_refreshes_on_mutation():
+    c = build_half_adder()
+    c.add_input("cin")
+    c.add_gate("t", GateType.AND, ["sum", "cin"])
+    assert c.fanin_cone("t") == {"t", "sum", "a", "b", "cin"}
+    assert c.fanin_cone("t") is c.fanin_cone("t")  # cached
+    assert c.fanin_cone("a") == {"a"}
+    c.replace_gate("t", fanins=["carry", "a"])
+    assert c.fanin_cone("t") == {"t", "carry", "a", "b"}
+    c.add_gate("u", GateType.NOT, ["t"])
+    assert c.fanin_cone("u") == {"u", "t", "carry", "a", "b"}
+    with pytest.raises(CircuitError):
+        c.fanin_cone("missing")
+
+
 def test_copy_is_independent():
     c = build_half_adder()
     d = c.copy()

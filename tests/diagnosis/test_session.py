@@ -146,11 +146,15 @@ def test_space_engines_agree(seed):
     w = make_workload(circuit, p=1, m_max=5, seed=seed, allow_fewer=True)
     session = DiagnosisSession(w.faulty, w.tests)
     space = session.space()
-    batch = space.singleton_rect_words(engine="batch")
-    event = session.space(tuple(space.pool)).singleton_rect_words(
-        engine="event"
-    )
-    assert batch == event
+    # The sweep's words against the per-gate, per-test oracle.
+    assert space.singleton_rect_words() == {
+        g: sum(
+            1 << j
+            for j, test in enumerate(w.tests)
+            if is_valid_correction(w.faulty, [test], (g,))
+        )
+        for g in space.pool
+    }
     for j in range(session.m):
         assert space.rectifying_gates(j) == space.fault_list_candidates(j)
 

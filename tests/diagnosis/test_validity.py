@@ -182,13 +182,12 @@ def test_batched_screen_rejects_partial_expected_outputs(rca4):
         )
 
 
-def test_singleton_screen_event_engine_matches_batch():
-    """engine="event" (fanout-cone updates on the batched event simulator)
-    must return exactly the batch sweep's result, in pool order."""
-    import random
-
+def test_singleton_rect_words_match_per_gate_oracle():
+    """single_gate_rect_words (one sweep over the observed outputs'
+    fan-in cones) must give every pool gate exactly the per-gate,
+    per-test oracle's word, in both output modes."""
     from repro.circuits import random_circuit
-    from repro.diagnosis.validity import valid_single_gate_corrections
+    from repro.diagnosis.validity import single_gate_rect_words
     from repro.faults import random_gate_changes
     from repro.testgen import random_failing_tests
 
@@ -204,39 +203,31 @@ def test_singleton_screen_event_engine_matches_batch():
             continue
         pool = list(circuit.gate_names)
         for constrain in (False, True):
-            batch = valid_single_gate_corrections(
+            words = single_gate_rect_words(
                 injection.faulty, tests, pool, constrain_all_outputs=constrain
             )
-            event = valid_single_gate_corrections(
-                injection.faulty,
-                tests,
-                pool,
-                constrain_all_outputs=constrain,
-                engine="event",
-            )
-            assert event == batch, (seed, constrain)
+            assert list(words) == pool
+            for g in pool:
+                assert words[g] == sum(
+                    1 << j
+                    for j, test in enumerate(tests)
+                    if is_valid_correction(
+                        injection.faulty,
+                        [test],
+                        (g,),
+                        constrain_all_outputs=constrain,
+                    )
+                ), (seed, constrain, g)
         checked += 1
     assert checked >= 3
 
 
-def test_singleton_screen_rejects_unknown_engine(fig5a_circuit, fig5a_tests):
-    from repro.diagnosis.validity import valid_single_gate_corrections
-
-    with pytest.raises(ValueError, match="engine"):
-        valid_single_gate_corrections(
-            fig5a_circuit, fig5a_tests, ["A"], engine="nope"
-        )
-
-
-def test_singleton_screen_unknown_gate_same_error_both_engines(maj3):
-    """Both engines must reject a pool gate that is not a circuit signal
-    with the same ValueError (the batch sweep's message)."""
+def test_singleton_screen_rejects_unknown_gate(maj3):
+    """A pool gate that is not a circuit signal is rejected with the
+    batch sweep's ValueError."""
     from repro.diagnosis.validity import valid_single_gate_corrections
 
     vector = {pi: 0 for pi in maj3.inputs}
     test = Test(vector, maj3.outputs[0], 1)
-    for engine in ("batch", "event"):
-        with pytest.raises(ValueError, match="not a signal"):
-            valid_single_gate_corrections(
-                maj3, [test], ["no_such_gate"], engine=engine
-            )
+    with pytest.raises(ValueError, match="not a signal"):
+        valid_single_gate_corrections(maj3, [test], ["no_such_gate"])

@@ -234,3 +234,26 @@ def test_blocked_sweep_matches_single_sweep(monkeypatch):
     monkeypatch.setattr(bf, "_SWEEP_BUDGET", 1)  # force 64-pattern blocks
     blocked = fault_signatures_batch(circuit, faults, patterns)
     assert blocked == whole
+
+
+@given(circuit_faults_patterns(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_output_restricted_sweep_matches_full_sweep(data, draw):
+    """``outputs=`` evaluates only those outputs' fan-in cones and returns
+    exactly the full sweep's rows for them, in the order given."""
+    from repro.sim.batchfault import batch_output_lanes
+
+    circuit, patterns = data
+    faults = full_fault_list(circuit)
+    outputs = draw.draw(
+        st.lists(st.sampled_from(circuit.outputs), unique=True)
+    )
+    full, good, mask = batch_output_lanes(circuit, faults, patterns)
+    cols = [circuit.outputs.index(o) for o in outputs]
+    part, part_good, part_mask = batch_output_lanes(
+        circuit, faults, patterns, outputs=outputs
+    )
+    assert part.shape == (len(faults), len(outputs), full.shape[2])
+    assert (part == full[:, cols]).all()
+    assert (part_good == good[cols]).all()
+    assert (part_mask == mask).all()
