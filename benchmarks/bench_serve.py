@@ -30,6 +30,14 @@ Gates (all assert-or-fail):
   answers; served closed-loop, the default ladder's per-device p50 on
   them stays within 1.5x of a greedy-only service's.
 
+* deadline bound: the tight-deadline leg serves 16 two-error
+  sim1423/sim6669 devices with a 30 ms deadline and two attempts on a
+  warm design cache; every device must resolve within
+  ``attempts x (timeout + GRACE_S)`` plus the watchdog interval and a
+  small slack, whatever it resolves as.  The counts of ``ok``,
+  ``degraded/valid-sampled``, ``degraded/guidance`` and ``timeout``
+  and the p50/p99 latency are reported, not gated.
+
 ``--chaos`` adds a robustness leg (the PR-9 serve-chaos CI job): the
 same fleet reruns under seeded shard-kill injection with a result
 journal attached, gating that throughput stays within 2x the clean
@@ -66,6 +74,7 @@ diffed against the committed ``BENCH_serve.json`` by
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import statistics
@@ -90,6 +99,7 @@ from repro.serve import (
 )
 from repro.serve.design import SignatureMemo
 from repro.serve.race import run_leg
+from repro.serve.service import GRACE_S, WATCHDOG_INTERVAL_S
 from repro.testgen import TestSet
 from repro.testgen.testset import Test
 
@@ -364,6 +374,81 @@ def run_fallthrough_gate(
         "greedy_p50": p50["greedy"],
         "ratio": ratio,
         "gate_ratio": FALLTHROUGH_GATE_RATIO,
+    }
+
+
+#: Tight-deadline leg: two-error devices (p=2, up to 8 failing tests)
+#: per design, unique signatures, a deadline shorter than most of their
+#: ladders, two attempts each.
+TIGHT_FLEET = [("sim1423", range(1, 9)), ("sim6669", range(1, 9))]
+TIGHT_TIMEOUT = 0.03
+TIGHT_ATTEMPTS = 2
+
+#: Scheduling slack on the tight-deadline bound: dispatch, GIL hand-offs
+#: between the shards, the client and the watchdog.
+TIGHT_SLACK = 0.1
+
+
+def run_tight_deadline_leg(
+    failures: list[str], backend: str | None = None
+) -> dict:
+    """Serve :data:`TIGHT_FLEET` under :data:`TIGHT_TIMEOUT` on a warm
+    design cache.
+
+    Gate (appended to ``failures``): every device resolves within
+    ``TIGHT_ATTEMPTS x (TIGHT_TIMEOUT + GRACE_S)`` plus the watchdog
+    interval and :data:`TIGHT_SLACK`.  What the devices resolve as is
+    reported, not gated: it depends on how much of each ladder fits in
+    the deadline on the host.
+    """
+    devices = [
+        _make_device(get_circuit(design), design, seed, p=2, m_max=8)
+        for design, seeds in TIGHT_FLEET
+        for seed in seeds
+    ]
+    cache = DesignCache()
+    for design, _ in TIGHT_FLEET:
+        cache.get(design)
+    service = DiagnosisService(
+        n_shards=N_SHARDS,
+        timeout=TIGHT_TIMEOUT,
+        max_attempts=TIGHT_ATTEMPTS,
+        design_cache=cache,
+        solver_backend=backend,
+    )
+    results = service.run(devices)
+    counts = collections.Counter(
+        f"degraded/{r.validity}" if r.status == "degraded" else r.status
+        for r in results
+    )
+    latencies = [r.latency for r in results]
+    bound = (
+        TIGHT_ATTEMPTS * (TIGHT_TIMEOUT + GRACE_S)
+        + WATCHDOG_INTERVAL_S
+        + TIGHT_SLACK
+    )
+    for result in results:
+        if result.latency > bound:
+            failures.append(
+                f"tight deadline: {result.device_id} resolved "
+                f"{result.status} after {result.latency:.3f}s "
+                f"(> {bound:.3f}s bound)"
+            )
+    return {
+        "n_devices": len(devices),
+        "timeout": TIGHT_TIMEOUT,
+        "max_attempts": TIGHT_ATTEMPTS,
+        "bound": bound,
+        "counts": {
+            key: counts.get(key, 0)
+            for key in (
+                "ok", "degraded/valid-sampled", "degraded/guidance",
+                "timeout", "error",
+            )
+        },
+        "p50": _percentile(latencies, 0.50),
+        "p99": _percentile(latencies, 0.99),
+        "max": max(latencies),
     }
 
 
@@ -891,6 +976,9 @@ def run(
     report["fallthrough"] = run_fallthrough_gate(
         fallthrough, failures, solver_backend
     )
+    report["tight_deadline"] = run_tight_deadline_leg(
+        failures, solver_backend
+    )
     if chaos:
         report["chaos"] = run_chaos(
             devices,
@@ -1010,6 +1098,14 @@ def main(argv=None) -> int:
         f"fall-through p50: ladder {fall['ladder_p50'] * 1e3:.1f}ms vs "
         f"greedy alone {fall['greedy_p50'] * 1e3:.1f}ms = "
         f"{fall['ratio']:.2f}x (gate <= {fall['gate_ratio']}x)"
+    )
+    tight = report["tight_deadline"]
+    print(
+        f"tight deadline ({tight['timeout'] * 1e3:.0f}ms x "
+        f"{tight['max_attempts']} attempts): "
+        + ", ".join(f"{n} {key}" for key, n in tight["counts"].items())
+        + f"; p50 {tight['p50'] * 1e3:.1f}ms p99 {tight['p99'] * 1e3:.1f}ms "
+        f"(bound {tight['bound'] * 1e3:.0f}ms)"
     )
     if "chaos" in report:
         chaos = report["chaos"]

@@ -699,9 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--no-degrade", action="store_true",
-        help="disable the degradation ladder: devices that exhaust "
-        "every attempt report a plain timeout instead of a bounded "
-        "approximate/guidance answer",
+        help="report a plain timeout for a device whose last attempt "
+        "ran out of time, instead of the degraded answer its ladder "
+        "already held (verified corrections found so far, or the "
+        "single-fix sweep's top-marked gates as guidance)",
     )
     p_serve.add_argument(
         "--strict", action="store_true",

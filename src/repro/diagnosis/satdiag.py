@@ -1013,6 +1013,34 @@ def auto_k_sat_diagnose(
     suspects = kwargs.pop("suspects", None)
     constrain_all_outputs = kwargs.pop("constrain_all_outputs", False)
     select_zero_clauses = kwargs.pop("select_zero_clauses", False)
+    should_stop = kwargs.get("should_stop")
+    budget = kwargs.get("budget")
+
+    def cancelled(t_build: float) -> SolutionSetResult:
+        extras = {"k_found": None, "cancelled": True}
+        if budget is not None and budget.interrupted:
+            extras["interrupted"] = True
+        return SolutionSetResult(
+            approach="BSAT/auto-k",
+            k=k_max,
+            solutions=(),
+            complete=False,
+            t_build=t_build,
+            t_first=0.0,
+            t_all=0.0,
+            extras=extras,
+        )
+
+    def stopped() -> bool:
+        return (should_stop is not None and should_stop()) or (
+            budget is not None and budget.poll()
+        )
+
+    # Poll before the build: building the instance is the rung's
+    # largest uninterruptible step, so a rung that starts cancelled or
+    # past its deadline must not pay it.
+    if stopped():
+        return cancelled(0.0)
     if (
         session is not None
         and session.constrain_all_outputs == constrain_all_outputs
@@ -1039,28 +1067,12 @@ def auto_k_sat_diagnose(
             solver_backend=solver_backend,
         )
     solver = instance.solver
-    should_stop = kwargs.get("should_stop")
-    budget = kwargs.get("budget")
     # Bounds past the pool size admit nothing new (the totalizer is
     # capped there too); bound 1 still runs on an empty pool, where it
     # decides whether the empty correction is consistent.
     for k in range(1, min(k_max, max(1, len(instance.suspects))) + 1):
-        if (should_stop is not None and should_stop()) or (
-            budget is not None and budget.poll()
-        ):
-            extras = {"k_found": None, "cancelled": True}
-            if budget is not None and budget.interrupted:
-                extras["interrupted"] = True
-            return SolutionSetResult(
-                approach="BSAT/auto-k",
-                k=k_max,
-                solutions=(),
-                complete=False,
-                t_build=instance.build_time,
-                t_first=0.0,
-                t_all=0.0,
-                extras=extras,
-            )
+        if stopped():
+            return cancelled(instance.build_time)
         if budget is None:
             feasible = solver.solve(
                 assumptions=instance.base_assumptions()
@@ -1075,20 +1087,7 @@ def auto_k_sat_diagnose(
                 budget=budget,
             )
             if feasible is None:
-                return SolutionSetResult(
-                    approach="BSAT/auto-k",
-                    k=k_max,
-                    solutions=(),
-                    complete=False,
-                    t_build=instance.build_time,
-                    t_first=0.0,
-                    t_all=0.0,
-                    extras={
-                        "k_found": None,
-                        "cancelled": True,
-                        "interrupted": True,
-                    },
-                )
+                return cancelled(instance.build_time)
         if feasible:
             result = basic_sat_diagnose(
                 circuit, tests, k, instance=instance,

@@ -15,12 +15,15 @@ service layers:
     master-encoding skeleton, result memo) built once per design.
 ``race``
     :func:`race_device` — the strategy ladder, run inline per device,
-    with cooperative ``should_stop``/budget cancellation.
+    with cooperative ``should_stop``/budget cancellation; an
+    interrupted ladder returns what it already holds (verified
+    corrections so far, else the single-fix sweep's top-marked gates)
+    as its degraded answer.
 ``service``
     :class:`DiagnosisService` — the one dispatcher: routing,
     deadline/retry, dead-executor rescue, exactly-once result stream,
-    degradation, journal, counters; :class:`DeviceResult` and its one
-    record codec.
+    degraded resolution from the ladder's partial answer, journal,
+    counters; :class:`DeviceResult` and its one record codec.
 ``shard``
     The executor protocol, the per-attempt function every executor
     runs, and :class:`ServiceShard` — a thread executor with a bounded
@@ -33,9 +36,6 @@ service layers:
     :class:`ResultJournal` — fsync-batched JSONL WAL of accepted and
     resolved devices; :func:`read_journal` replays it on resume for
     exactly-once across process death.
-``degrade``
-    :func:`run_degradation_ladder` — bounded exact→approximate→guidance
-    fallbacks instead of empty timeouts.
 ``chaos``
     :class:`ChaosInjector` — seeded fault injection (shard kills, hung
     legs, torn intake lines, journal-commit crashes) plus
@@ -46,7 +46,6 @@ See ``ROADMAP.md`` ("Serving guide") for the policy rationale and
 """
 
 from .chaos import ChaosInjector, JournalCrash, check_invariants
-from .degrade import DegradedAnswer, run_degradation_ladder
 from .design import DesignArtifacts, DesignCache, load_design
 from .intake import (
     DeviceReport,
@@ -81,8 +80,6 @@ __all__ = [
     "ResultJournal",
     "read_journal",
     "signature_key",
-    "DegradedAnswer",
-    "run_degradation_ladder",
     "ChaosInjector",
     "JournalCrash",
     "check_invariants",

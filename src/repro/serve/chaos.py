@@ -75,6 +75,14 @@ ALL_INJECTION_KINDS = (
 #: Statuses a resolved device may legally carry.
 _LEGAL_STATUSES = ("ok", "degraded", "timeout", "error")
 
+#: The (degraded_rung, validity) pairs a degraded result may carry:
+#: verified corrections are "valid-sampled" (Def. 3), simulation marks
+#: only ever "guidance" (Lemma 2).
+_DEGRADED_LABELS = (
+    ("approximate", "valid-sampled"),
+    ("guidance", "guidance"),
+)
+
 
 class JournalCrash(RuntimeError):
     """Simulated process death at the journal commit boundary."""
@@ -238,6 +246,8 @@ def check_invariants(
     Returns failure strings (empty = all good):
 
     * every submitted device resolved exactly once, legal status;
+    * a degraded result carries a legal ``(degraded_rung, validity)``
+      pair, and a guidance result no ``answer``;
     * service counters balance (resolutions account for every device);
     * the journal replays convergently — two reads agree record for
       record, and re-reading is idempotent.
@@ -270,10 +280,16 @@ def check_invariants(
             )
         if r.status == "ok" and r.answer is None and not r.solutions:
             failures.append(f"{r.device_id}: ok with no answer")
-        if r.status == "degraded" and r.degraded_rung is None:
-            failures.append(
-                f"{r.device_id}: degraded without a ladder rung"
-            )
+        if r.status == "degraded":
+            label = (r.degraded_rung, r.validity)
+            if label not in _DEGRADED_LABELS:
+                failures.append(
+                    f"{r.device_id}: illegal degraded label {label!r}"
+                )
+            if r.validity == "guidance" and r.answer is not None:
+                failures.append(
+                    f"{r.device_id}: guidance carries an answer"
+                )
     if service is not None:
         stats = service.stats()
         n_ok = sum(

@@ -15,8 +15,10 @@ Each spawned worker runs one loop of
 :func:`~repro.serve.shard.run_attempt`, the per-attempt function thread
 shards run, and answers with the race outcome, the memo hit or the
 error; the parent builds the :class:`~repro.serve.service.DeviceResult`,
-so routing, deadlines, retries, degradation, exactly-once and the one
-WAL are the dispatcher's, exactly as in thread mode::
+so routing, deadlines, retries, degradation (from the partial answer
+the outcome carries), exactly-once and the one WAL are the
+dispatcher's, exactly as in thread mode.  The parent holds no design
+artifacts at all::
 
     parent (dispatcher)                  worker i (spawned)
     -------------------                  ------------------
@@ -103,10 +105,8 @@ def _worker_main(
             if memo is not None:
                 reply = ("memo", key, memo)
             else:
-                # The winning rung's full result stays here.
-                reply = ("outcome", key, dataclasses.replace(
-                    outcome, result=None, legs={}
-                ))
+                # The per-rung summaries stay here.
+                reply = ("outcome", key, dataclasses.replace(outcome, legs={}))
         except Exception as exc:  # never let one device kill the worker
             counters["errors"] += 1
             reply = ("error", key, f"{type(exc).__name__}: {exc}")
@@ -254,9 +254,10 @@ class ProcessDiagnosisService(DiagnosisService):
 
     Construction spawns (and warms) the workers, so build it once and
     reuse it; ``close()`` (or the context manager) drains and reaps
-    them.  The dispatcher's own ``design_cache`` serves only the
-    degradation ladder, so it builds a design only when one of its
-    devices degrades.
+    them.  Design artifacts live only in the workers: the parent has no
+    ``design_cache``, and ``stats()`` reports each worker's
+    ``designs_built``, ``skeleton_builds`` and ``memo_evictions`` in its
+    ``workers`` block.
     """
 
     executor_kind = "worker"

@@ -29,9 +29,26 @@ sim1423/sim6669 device, where the ladder answers most of them with one
 sweep; see ROADMAP.md, "Serving guide").
 
 Every rung carries the device's :class:`~repro.sat.budget.Budget`
-(deadline plus the watchdog's cancel flag, polled in the SAT search
+(deadline plus the dispatcher's cancel flag, polled in the SAT search
 every ``conflict_poll_interval`` conflicts), so a cancel or deadline
 lands mid-solve and the ladder stops at the rung it interrupted.
+
+An interrupted ladder is an anytime search (SAFARI's framing): it
+returns what it already holds as the outcome's ``partial``, the
+degraded answer the dispatcher resolves a device with once its last
+attempt is spent.  In order of preference:
+
+``approximate``
+    The interrupted rung's solutions so far.  Every rung only reports
+    verified corrections (Def. 3), so they are valid, but a sample, not
+    the complete set: validity ``"valid-sampled"``, ``answer`` the
+    smallest.
+``guidance``
+    The :data:`GUIDANCE_TOP` gates with the most marks in the finished
+    ``single-fix`` sweep (BSIM's ``M(g)``: the failing observations one
+    forced value at the gate fixes).  By Lemma 2 these are hints that
+    may not be valid corrections: validity ``"guidance"``, ``answer``
+    None, the gates as singletons in ``solutions``.
 
 With ``strategies=("bsat",)`` the ladder is one complete enumeration —
 the reference mode whose answers are bit-identical to the sequential
@@ -58,18 +75,19 @@ RUNGS = ("single-fix", "greedy-stochastic", "ihs", "bsat")
 #: auto-k cap for the BSAT rung when the device carries no ``k`` hint.
 _DEFAULT_K_MAX = 4
 
+#: A guidance partial names at most this many top-marked gates.
+GUIDANCE_TOP = 8
+
 
 @dataclass
 class RaceOutcome:
     """What one device's ladder produced."""
 
     winner: str | None = None
-    result: SolutionSetResult | None = None
     #: The winning rung's minimum-size solution, sorted (None: no rung
     #: produced a solution before cancellation/timeout).
     answer: tuple[str, ...] | None = None
     solutions: tuple[Correction, ...] = ()
-    elapsed: float = 0.0
     #: The ladder stopped because its deadline passed.
     timed_out: bool = False
     #: The ladder was stopped (cancel flag or deadline) before a winner.
@@ -80,6 +98,10 @@ class RaceOutcome:
     skipped_legs: int = 0
     #: Rung name -> summary dict (for observability counters).
     legs: dict = field(default_factory=dict)
+    #: A cancelled ladder's degraded answer, as ``DeviceResult`` fields
+    #: (``degraded_rung``, ``validity``, ``answer``, ``cardinality``,
+    #: ``solutions``); None when it held nothing.
+    partial: dict | None = None
 
 
 def _pick_answer(
@@ -88,6 +110,34 @@ def _pick_answer(
     if not solutions:
         return None
     return tuple(sorted(min(solutions, key=lambda s: (len(s), sorted(s)))))
+
+
+def _partial(
+    result: SolutionSetResult, marks: dict[str, int]
+) -> dict | None:
+    """What a ladder interrupted in ``result``'s rung already holds,
+    after a ``single-fix`` sweep that left ``marks`` (empty: none ran)."""
+    if result.solutions:
+        answer = _pick_answer(tuple(result.solutions))
+        return {
+            "degraded_rung": "approximate",
+            "validity": "valid-sampled",
+            "answer": answer,
+            "cardinality": len(answer),
+            "solutions": tuple(result.solutions),
+        }
+    ranked = sorted(
+        (g for g, m in marks.items() if m > 0), key=lambda g: (-marks[g], g)
+    )[:GUIDANCE_TOP]
+    if not ranked:
+        return None
+    return {
+        "degraded_rung": "guidance",
+        "validity": "guidance",
+        "answer": None,
+        "cardinality": None,
+        "solutions": tuple(frozenset((g,)) for g in ranked),
+    }
 
 
 def run_leg(
@@ -153,18 +203,18 @@ def race_device(
     """Run the ``strategies`` ladder on one prepared session; the first
     rung with solutions wins.
 
-    ``cancel`` is the shard watchdog's plug and ``deadline`` a
+    ``cancel`` is the dispatcher's plug and ``deadline`` a
     ``time.monotonic()`` timestamp.  Both reach every rung through its
     ``should_stop`` hook and the device's
     :class:`~repro.sat.budget.Budget`; once either fires, the running
     rung stops at its next poll, the rest never start, and the outcome
     reports ``cancelled=True`` (plus ``timed_out=True`` when the
-    deadline passed).
+    deadline passed) and what the ladder already held as ``partial``.
     """
     if not strategies:
         raise ValueError("the race needs at least one strategy")
     outcome = RaceOutcome()
-    start = time.monotonic()
+    marks: dict[str, int] = {}
     should_stop = budget = None
     if cancel is not None or deadline is not None:
 
@@ -194,15 +244,15 @@ def race_device(
             outcome.timed_out = (
                 deadline is not None and time.monotonic() >= deadline
             )
+            outcome.partial = _partial(result, marks)
             break
         if result.solutions:
             outcome.winner = name
-            outcome.result = result
             outcome.solutions = tuple(result.solutions)
             outcome.answer = _pick_answer(outcome.solutions)
             outcome.skipped_legs = len(strategies) - i - 1
             break
-    outcome.elapsed = time.monotonic() - start
+        marks = result.extras.get("marks", marks)
     return outcome
 
 

@@ -9,20 +9,24 @@ only in the executors it builds.  The dispatcher owns:
 * **Routing**: each device goes to an executor chosen by a stable hash
   of its design, so all devices of one design share that executor's
   warm artifacts; retries rotate to a *different* executor.
-* **Deadline/retry**: a watchdog thread cancels attempts past their
-  deadline (the running rung stops at its next ``should_stop`` poll)
-  and retries the device elsewhere, up to ``max_attempts``; an executor
+* **Deadline/retry**: every attempt's ladder enforces the attempt's
+  deadline itself (its :class:`~repro.sat.budget.Budget`) and reports a
+  cancelled outcome, which retries the device elsewhere, up to
+  ``max_attempts``.  A watchdog thread only steps in for attempts still
+  silent :data:`GRACE_S` past their deadline (a hung or stalled
+  executor): it cancels them and retries the same way.  An executor
   that dies hands back its in-flight attempt (retried) and its backlog
-  (re-routed).
+  (re-routed).  No dispatcher thread does diagnosis work.
 * **Exactly-once**: every device resolves to exactly one
   :class:`DeviceResult` however many attempts raced for it — the first
   resolution wins under the service lock, late/duplicate attempt
   results are counted and dropped.
-* **Degradation**: a device that exhausts every attempt does not
-  produce an empty ``timeout`` — the degradation ladder
-  (:mod:`repro.serve.degrade`) salvages a bounded approximate answer or
-  simulation-based guidance, stamped ``status="degraded"`` with its
-  validity class.
+* **Degradation**: a device whose last attempt was cancelled resolves
+  from what that attempt's ladder already held (its outcome's
+  ``partial``, see :mod:`repro.serve.race`): ``status="degraded"`` with
+  the verified corrections found so far or the single-fix sweep's
+  top-marked gates, stamped with their validity class; ``timeout`` when
+  it held nothing.
 * **Durability**: with a :class:`~repro.serve.journal.ResultJournal`
   every accepted device and resolution is appended to a fsync-batched
   WAL; resuming from its replay skips already-resolved signatures —
@@ -44,11 +48,9 @@ import zlib
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
-from ..diagnosis.core import DiagnosisSession
 from ..sat.backends import resolve_backend
-from .degrade import run_degradation_ladder
 from .design import DesignCache
-from .intake import DeviceReport, signature_seed
+from .intake import DeviceReport
 from .journal import (
     JournalReplay,
     ResultJournal,
@@ -60,6 +62,17 @@ from .race import DEFAULT_STRATEGIES, RUNGS, RaceOutcome
 from .shard import Executor, Ladder, ServiceShard
 
 __all__ = ["DeviceResult", "DiagnosisService"]
+
+#: Seconds past an attempt's deadline the watchdog waits for the
+#: attempt's own cancelled outcome before it gives up on the attempt as
+#: hung.  A ladder reports within one poll of its deadline (default
+#: ladder: ~20 ms median, under 0.1 s, on a 2-vCPU host); what overruns
+#: this is work the budget cannot interrupt (an executor stalled, a
+#: bsat instance still building).
+GRACE_S = 0.25
+
+#: Upper bound of the watchdog's polling period.
+WATCHDOG_INTERVAL_S = 0.02
 
 
 def _eager_warm_up() -> None:
@@ -94,9 +107,11 @@ class DeviceResult:
     #: Worker-process index in process mode (``serve --workers N``);
     #: None for thread shards.
     worker: int | None = None
-    #: Ladder rung that produced a ``"degraded"`` result
-    #: ("approximate" | "guidance"), with its validity class
-    #: ("valid-sampled" | "guidance") — see :mod:`repro.serve.degrade`.
+    #: What a ``"degraded"`` result holds: "approximate" (verified
+    #: corrections the interrupted ladder found, validity
+    #: "valid-sampled") or "guidance" (top-marked gates of the
+    #: single-fix sweep, unverified, validity "guidance") — see
+    #: :mod:`repro.serve.race`.
     degraded_rung: str | None = None
     validity: str | None = None
     #: True when the answer was replayed from the durable journal on
@@ -186,7 +201,8 @@ class DiagnosisService:
         ``"complete"`` — each rung runs to completion (use with one
         strategy for reference answers).
     timeout:
-        Per-attempt deadline in seconds, counted from dispatch (None: no
+        Per-attempt deadline in seconds, counted from dispatch and
+        enforced by the attempt's ladder (None: no deadline, no
         watchdog).
     max_attempts:
         Total attempts per device (1 = no retry).
@@ -200,12 +216,10 @@ class DiagnosisService:
         within a bounded number of conflicts rather than at the next
         solver-call boundary.
     degrade:
-        When a device exhausts every attempt, walk the degradation
-        ladder (:mod:`repro.serve.degrade`) — a bounded approximate
-        search, then simulation-based guidance — and resolve
-        ``status="degraded"`` instead of an empty ``timeout``.
-        ``degrade_budget`` bounds the ladder's approximate rung in
-        seconds.
+        When a device's last attempt is cancelled, resolve it
+        ``status="degraded"`` from what that attempt's ladder already
+        held (its outcome's ``partial``) instead of an empty
+        ``timeout``.  Off: a partial is ignored.
     journal:
         A :class:`~repro.serve.journal.ResultJournal`: every accepted
         device and every resolution is appended to the durable WAL.
@@ -214,7 +228,8 @@ class DiagnosisService:
         already-resolved signatures without re-diagnosing —
         exactly-once across process death.
     design_cache:
-        The artifacts the shards share and the degradation ladder uses.
+        The artifacts the thread shards share (a fresh
+        :class:`~repro.serve.design.DesignCache` when None).
     fault_hook:
         Chaos/test injection: ``hook(shard_index, attempt)`` called
         before a shard processes each attempt; may sleep (hang) or raise
@@ -240,7 +255,6 @@ class DiagnosisService:
         queue_size: int = 2,
         conflict_poll_interval: int = 64,
         degrade: bool = True,
-        degrade_budget: float = 0.25,
         journal: ResultJournal | None = None,
         resume_from: JournalReplay | None = None,
         design_cache: DesignCache | None = None,
@@ -274,13 +288,10 @@ class DiagnosisService:
         self.max_attempts = max_attempts
         self.queue_size = queue_size
         self.degrade = degrade
-        self.degrade_budget = degrade_budget
         self.journal = journal
         self.resume_from = resume_from
         self.solver_backend = solver_backend
-        self.design_cache = (
-            design_cache if design_cache is not None else DesignCache()
-        )
+        self.design_cache = design_cache
         self.fault_hook = fault_hook
         self._lock = threading.Lock()
         self._memo_lock = threading.Lock()
@@ -311,6 +322,8 @@ class DiagnosisService:
             # Pay the JIT compile now, off every device's latency path
             # (idempotent: a warm process returns immediately).
             _eager_warm_up()
+        if self.design_cache is None:
+            self.design_cache = DesignCache()
         return [ServiceShard(i, self, self.queue_size) for i in range(n)]
 
     # ------------------------------------------------------------------
@@ -385,7 +398,8 @@ class DiagnosisService:
     def cancel_device(self, device_id: str) -> bool:
         """Abandon ``device_id``: stop its running attempt mid-solve and
         resolve it ``timeout`` ("externally cancelled") now, with no
-        retry and no degradation; the attempt's late outcome is dropped.
+        retry and no degraded answer; the attempt's late outcome is
+        dropped.
 
         True when the device was in flight and unresolved.
         """
@@ -401,7 +415,8 @@ class DiagnosisService:
         return True
 
     def stats(self) -> dict:
-        """Dispatcher + executor + design-cache counters (JSON-friendly)."""
+        """Dispatcher + executor (+ thread mode's design-cache) counters
+        (JSON-friendly)."""
         blocks = {
             f"{e.kind}{e.index}": e.snapshot() for e in self._executors
         }
@@ -422,12 +437,16 @@ class DiagnosisService:
                 if self.journal is not None
                 else {}
             ),
-            "design_cache": {
-                "designs_built": cache.stats["designs_built"],
-                "design_hits": cache.stats["design_hits"],
-                "skeleton_builds": dict(cache.stats["skeleton_builds"]),
-                "memo_evictions": cache.memo_evictions(),
-            },
+            **(
+                {"design_cache": {
+                    "designs_built": cache.stats["designs_built"],
+                    "design_hits": cache.stats["design_hits"],
+                    "skeleton_builds": dict(cache.stats["skeleton_builds"]),
+                    "memo_evictions": cache.memo_evictions(),
+                }}
+                if cache is not None
+                else {}
+            ),
             f"{self.executor_kind}s": blocks,
         }
 
@@ -549,10 +568,10 @@ class DiagnosisService:
         if outcome.cancelled:
             if not self._retry_or_fail(
                 state, attempt, error=f"deadline exceeded on {executor}",
-                timed_out=True,
+                timed_out=True, partial=outcome.partial,
             ):
                 # The watchdog (or a cancel) already moved on from this
-                # attempt: its empty outcome is late.
+                # attempt: its outcome is late.
                 with self._lock:
                     self.counters["late_results_dropped"] += 1
             return
@@ -607,11 +626,15 @@ class DiagnosisService:
     # watchdog / retry / exactly-once
     # ------------------------------------------------------------------
     def _watchdog_loop(self) -> None:
-        interval = min(0.02, (self.timeout or 1.0) / 5)
+        """Give up on attempts still silent :data:`GRACE_S` past their
+        deadline; an attempt's own ladder stops at the deadline."""
+        interval = min(WATCHDOG_INTERVAL_S, self.timeout / 5)
         while not self._stopping.wait(interval):
             now = time.monotonic()
             with self._lock:
-                expired = [a for a in self._inflight if now >= a.deadline]
+                expired = [
+                    a for a in self._inflight if now >= a.deadline + GRACE_S
+                ]
                 for a in expired:
                     self._inflight.discard(a)
             for attempt in expired:
@@ -628,10 +651,12 @@ class DiagnosisService:
         error: str,
         timed_out: bool = False,
         abandoned: bool = False,
+        partial: dict | None = None,
     ) -> bool:
-        """The attempt failed: retry elsewhere, else degrade, else
-        resolve ``timeout``.  An ``abandoned`` device (cancelled on
-        request) neither retries nor degrades.
+        """The attempt failed: retry elsewhere, else resolve
+        ``degraded`` from its ``partial`` (what its ladder already held),
+        else ``timeout``.  An ``abandoned`` device (cancelled on request)
+        neither retries nor degrades.
 
         Exactly one caller handles each attempt's failure (the watchdog,
         its executor, a death or a cancel may all try): False for the
@@ -654,55 +679,14 @@ class DiagnosisService:
                 return True
             except RuntimeError as exc:  # no live executors remain
                 error = f"{error}; retry impossible ({exc})"
-        result = None
-        if self.degrade and not abandoned:
-            result = self._degrade(state, attempt, error)
+        if partial is not None and self.degrade and not abandoned:
+            status, fields = "degraded", partial
+        else:
+            status, fields = "timeout", {}
         self._resolve(
-            state,
-            result or self._result(state, attempt, "timeout", error=error),
+            state, self._result(state, attempt, status, error=error, **fields)
         )
         return True
-
-    def _degrade(
-        self, state: _DeviceState, attempt: _Attempt, error: str
-    ) -> DeviceResult | None:
-        """Walk the degradation ladder after the last exact attempt
-        failed; None when the ladder also comes up empty.
-
-        Runs on the caller's thread (watchdog or executor) but is
-        bounded: the approximate rung carries its own ``degrade_budget``
-        deadline Budget and the guidance rung is one vectorized sweep.
-        """
-        device = state.device
-        try:
-            artifacts = self.design_cache.get(device.design)
-            session = DiagnosisSession(
-                artifacts.circuit,
-                device.tests,
-                solver_backend=self.solver_backend,
-                seed=signature_seed(device.signature()),
-            )
-            session.master_skeleton = artifacts.skeleton
-            found = run_degradation_ladder(
-                session, k=device.k, budget_seconds=self.degrade_budget
-            )
-        except Exception:
-            return None
-        if found is None:
-            return None
-        return self._result(
-            state,
-            attempt,
-            "degraded",
-            answer=found.answer,
-            cardinality=(
-                len(found.answer) if found.answer is not None else None
-            ),
-            solutions=found.solutions,
-            error=error,
-            degraded_rung=found.rung,
-            validity=found.validity,
-        )
 
     def _result(
         self,

@@ -6,8 +6,10 @@ the service diagnoses (see ``repro.serve.intake``).
 """
 
 from repro.circuits import library
+from repro.diagnosis import DiagnosisSession
 from repro.experiments import make_workload
 from repro.serve import DeviceReport
+from repro.serve.race import GUIDANCE_TOP
 from repro.testgen import TestSet
 from repro.testgen.testset import Test
 
@@ -42,3 +44,15 @@ def device_json(device: DeviceReport) -> dict:
             for t in device.tests
         ],
     }
+
+
+def top_marked(device: DeviceReport) -> tuple:
+    """The guidance a cancelled ladder reports for ``device`` after its
+    single-fix sweep: the top-marked gates, as singletons."""
+    marks = DiagnosisSession(
+        library.get_circuit(device.design), device.tests
+    ).space().marks()
+    ranked = sorted(
+        (g for g in marks if marks[g] > 0), key=lambda g: (-marks[g], g)
+    )
+    return tuple(frozenset((g,)) for g in ranked[:GUIDANCE_TOP])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.serve import (
     ChaosInjector,
+    DeviceResult,
     DiagnosisService,
     JournalCrash,
     ResultJournal,
@@ -95,6 +96,33 @@ def test_disabled_kinds_never_fire():
         injector.after_flush()
     assert injector.wrap_lines(['{"id": "x"}']) == ['{"id": "x"}']
     assert injector.log == []
+
+
+@pytest.mark.parametrize(
+    "rung, validity, answer, problem",
+    [
+        ("approximate", "valid-sampled", ("g1",), None),
+        ("guidance", "guidance", None, None),
+        ("approximate", "guidance", None, "illegal degraded label"),
+        ("guidance", "valid-sampled", None, "illegal degraded label"),
+        (None, None, None, "illegal degraded label"),
+        ("guidance", "guidance", ("g1",), "guidance carries an answer"),
+    ],
+)
+def test_invariants_check_degraded_labels(rung, validity, answer, problem):
+    # Def. 3 / Lemma 2: verified corrections are "valid-sampled", mark
+    # rankings only ever "guidance", and guidance never carries an answer.
+    device = make_device("d0")
+    result = DeviceResult(
+        device_id="d0", design="c17", status="degraded", answer=answer,
+        solutions=(frozenset({"g1"}),), degraded_rung=rung,
+        validity=validity,
+    )
+    failures = check_invariants([device], [result])
+    if problem is None:
+        assert failures == []
+    else:
+        assert len(failures) == 1 and problem in failures[0]
 
 
 # ----------------------------------------------------------------------

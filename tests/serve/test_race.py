@@ -13,7 +13,7 @@ from repro.sat.compiled import CompiledSolver
 from repro.serve import DEFAULT_STRATEGIES, race_device, signature_seed
 from repro.serve.race import RUNGS, run_leg
 
-from tests.serve._devices import make_device
+from tests.serve._devices import make_device, top_marked
 
 
 def _session(device):
@@ -62,6 +62,8 @@ def test_precancelled_race_cancels_every_leg():
     assert outcome.cancelled
     assert outcome.answer is None and outcome.winner is None
     assert outcome.cancelled_legs == len(DEFAULT_STRATEGIES)
+    # No rung ran, so the ladder holds nothing to degrade to.
+    assert outcome.partial is None
 
 
 class _Stop:
@@ -92,8 +94,10 @@ def test_immediate_stop_cancels_before_any_work(strategy, kwargs):
     assert result.extras.get("cancelled") is True
     assert result.solutions == ()
     assert not result.complete
-    # The strategy must stop at its first poll — exactly one call.
+    # The strategy must stop at its first poll — exactly one call —
+    # before it builds a SAT instance.
     assert stop.calls == 1
+    assert not session._instances
 
 
 def test_stop_honored_within_one_check_interval():
@@ -282,6 +286,15 @@ def test_cancel_between_rungs_stops_the_ladder():
     assert outcome.legs["single-fix"]["solutions"] == 0
     assert outcome.cancelled_legs == 2
     assert not outcome.timed_out
+    # The finished sweep's marks are the degraded answer: the top-marked
+    # gates as guidance (Lemma 2: hints, not verified corrections).
+    assert outcome.partial == {
+        "degraded_rung": "guidance",
+        "validity": "guidance",
+        "answer": None,
+        "cardinality": None,
+        "solutions": top_marked(device),
+    }
 
 
 def test_past_deadline_ladder_times_out_every_rung():

@@ -15,13 +15,15 @@ from repro.serve import (
     DiagnosisService,
     ResultJournal,
     ShardKilled,
+    check_invariants,
     read_journal,
     signature_seed,
 )
+from repro.serve.service import GRACE_S, WATCHDOG_INTERVAL_S
 from repro.testgen import TestSet
 from repro.testgen.testset import Test
 
-from tests.serve._devices import make_device
+from tests.serve._devices import make_device, top_marked
 
 
 def test_exactly_once_and_signature_batching():
@@ -149,31 +151,154 @@ def test_deadline_exhausts_attempts_to_timeout_status():
     assert stats["failures"] == 1
 
 
-def test_deadline_exhaustion_degrades_instead_of_timing_out():
-    # Same hang as above, but with the default degradation ladder on:
-    # the device resolves with a degraded answer (and its validity
-    # class) instead of an empty timeout.
+def test_hung_attempts_time_out_even_with_degrade():
+    # Same hang as above with degradation on: no attempt ever ran its
+    # ladder, so there is nothing to degrade to.
     def hook(shard_index, attempt):
         time.sleep(0.4)
 
     service = DiagnosisService(
         n_shards=2, timeout=0.1, max_attempts=2, fault_hook=hook
     )
-    results = service.run([make_device("d0", seed=3, k=2)])
-    (d0,) = results
+    (d0,) = service.run([make_device("d0", seed=3, k=2)])
+    assert d0.status == "timeout" and d0.degraded_rung is None
+    assert service.stats()["degraded"] == 0
+
+
+def _wait_for_stop(should_stop) -> None:
+    while not should_stop():
+        time.sleep(0.002)
+
+
+def _warm_cache(*designs: str) -> DesignCache:
+    cache = DesignCache()
+    for design in designs:
+        cache.get(design)
+    return cache
+
+
+def _serve_bsat_into_the_deadline(monkeypatch, **options):
+    # A device with no single-gate correction: each attempt's sweep
+    # finishes, then its bsat rung runs into the attempt's deadline.
+    import repro.serve.race as race_mod
+
+    run_leg = race_mod.run_leg
+
+    def bsat_waits_for_the_deadline(session, strategy, *args, **kwargs):
+        if strategy == "bsat":
+            _wait_for_stop(kwargs["should_stop"])
+        return run_leg(session, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(race_mod, "run_leg", bsat_waits_for_the_deadline)
+    device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
+    service = DiagnosisService(
+        n_shards=2,
+        strategies=("single-fix", "bsat"),
+        timeout=0.3,
+        max_attempts=2,
+        design_cache=_warm_cache("sim1423"),
+        **options,
+    )
+    (result,) = service.run([device])
+    return device, service, result
+
+
+def test_deadline_exhaustion_degrades_instead_of_timing_out(monkeypatch):
+    # The last attempt's ladder resolves the device from what it already
+    # held: the finished sweep's top-marked gates, as guidance.
+    device, service, d0 = _serve_bsat_into_the_deadline(monkeypatch)
     assert d0.status == "degraded"
-    assert d0.degraded_rung in ("approximate", "guidance")
-    assert d0.validity in ("valid-sampled", "guidance")
-    if d0.degraded_rung == "approximate":
-        # The approximate rung only reports verified valid corrections.
-        assert d0.answer is not None and d0.solutions
-    else:
-        assert d0.answer is None and d0.solutions
-    assert "deadline exceeded" in d0.error
+    assert (d0.degraded_rung, d0.validity) == ("guidance", "guidance")
+    assert d0.answer is None and d0.cardinality is None
+    assert d0.solutions == top_marked(device)
+    assert d0.attempts == 2
+    assert "deadline exceeded on shard" in d0.error
     stats = service.stats()
-    assert stats["degraded"] == 1
-    assert stats["failures"] == 0
-    assert stats["timeouts"] == 2
+    assert stats["degraded"] == 1 and stats["failures"] == 0
+    assert stats["timeouts"] == 2 and stats["retries"] == 1
+    # Each attempt's own cancelled outcome retried or resolved the
+    # device; the watchdog never beat it to one.
+    assert stats["late_results_dropped"] == 0
+    assert check_invariants([device], [d0], service=service) == []
+
+
+def test_no_degrade_ignores_the_partial(monkeypatch):
+    _, service, d0 = _serve_bsat_into_the_deadline(
+        monkeypatch, degrade=False
+    )
+    assert d0.status == "timeout" and d0.degraded_rung is None
+    assert d0.solutions == () and d0.attempts == 2
+    assert service.stats()["failures"] == 1
+
+
+def test_interrupted_complete_rung_resolves_valid_sampled(monkeypatch):
+    # A complete-policy greedy rung interrupted by the deadline after its
+    # first climb: its solutions so far are the degraded answer.
+    import repro.diagnosis.greedy as greedy_mod
+
+    minimize = greedy_mod._minimize
+
+    def climb_then_wait(*args, should_stop=None, **kwargs):
+        minimal = minimize(*args, should_stop=should_stop, **kwargs)
+        _wait_for_stop(should_stop)
+        return minimal
+
+    monkeypatch.setattr(greedy_mod, "_minimize", climb_then_wait)
+    device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8)
+    service = DiagnosisService(
+        n_shards=1,
+        strategies=("greedy-stochastic",),
+        policy="complete",
+        timeout=0.3,
+        max_attempts=1,
+        design_cache=_warm_cache("sim1423"),
+    )
+    (d0,) = service.run([device])
+    assert d0.status == "degraded"
+    assert (d0.degraded_rung, d0.validity) == ("approximate", "valid-sampled")
+    assert d0.solutions
+    assert d0.answer == tuple(
+        sorted(min(d0.solutions, key=lambda s: (len(s), sorted(s))))
+    )
+    assert d0.cardinality == len(d0.answer)
+    # Def. 3: every sampled solution is a valid correction.
+    circuit = library.get_circuit("sim1423")
+    for solution in d0.solutions:
+        assert is_valid_correction(circuit, device.tests, solution)
+    assert check_invariants([device], [d0], service=service) == []
+
+
+def test_timeouts_in_one_run_resolve_within_the_deadline_bound():
+    # Eight devices with no single-gate correction, a deadline shorter
+    # than their ladders: they time out together.  No dispatcher thread
+    # diagnoses, so every device resolves within its attempts'
+    # deadlines plus grace, whatever the others do.  One attempt keeps
+    # the bound tight enough that resolving the failures one after
+    # another on one thread would overrun it.
+    timeout, attempts = 0.03, 1
+    devices = [
+        make_device(f"{design}-{seed}", design=design, seed=seed, p=2,
+                    m_max=8, k=2)
+        for design, seeds in (("sim6669", (1, 4, 6, 10)),
+                              ("sim1423", (1, 5, 8, 12)))
+        for seed in seeds
+    ]
+    service = DiagnosisService(
+        n_shards=2,
+        timeout=timeout,
+        max_attempts=attempts,
+        design_cache=_warm_cache("sim6669", "sim1423"),
+    )
+    results = service.run(devices)
+    assert service.stats()["timeouts"] >= 4
+    bound = attempts * (timeout + GRACE_S) + WATCHDOG_INTERVAL_S + 0.1
+    late = [
+        (r.device_id, round(r.latency, 3))
+        for r in results
+        if r.latency > bound
+    ]
+    assert late == [], f"resolved past {bound:.2f}s"
+    assert check_invariants(devices, results, service=service) == []
 
 
 def test_bsat_only_service_matches_sequential_baseline_bitwise():
