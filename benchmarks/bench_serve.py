@@ -208,7 +208,7 @@ def run_baseline(devices, backend: str | None = None) -> dict:
         session = _fresh_session(device, backend)
         legs = {
             name: run_leg(
-                session, name, device.k, first_only=False, should_stop=None
+                session, name, device.k, first_only=False
             )
             for name in DEFAULT_STRATEGIES
         }
@@ -265,7 +265,6 @@ def check_parity(
                 result.winner,
                 device.k,
                 first_only=True,
-                should_stop=None,
             )
             replayed[sig] = tuple(replay.solutions)
         if tuple(result.solutions) != replayed[sig]:
@@ -298,7 +297,6 @@ def check_bsat_reference(
             "bsat",
             device.k,
             first_only=False,
-            should_stop=None,
         )
         if tuple(result.solutions) != tuple(reference.solutions):
             failures.append(
@@ -725,7 +723,6 @@ def run_workers_leg(
             "bsat",
             device.k,
             first_only=False,
-            should_stop=None,
         )
         if tuple(result.solutions) != tuple(reference.solutions):
             failures.append(

@@ -709,9 +709,6 @@ class CandidateSpace:
             )
         return self._fault_list_sets[j]
 
-    #: Backwards-compatible name from the circuit-only era.
-    fault_list_candidates = observation_candidates
-
     # -- structural conflicts -------------------------------------------
     def observation_conflict(self, j: int) -> frozenset[str]:
         """Sound conflict for observation ``j``, sliced to the pool: on
@@ -719,9 +716,6 @@ class CandidateSpace:
         correction for the observation intersects the unsliced set."""
         conflict = self.session.system.observation_conflict(j)
         return frozenset(g for g in self.pool if g in conflict)
-
-    #: Backwards-compatible name from the circuit-only era.
-    cone_conflict = observation_conflict
 
     # -- delegation ------------------------------------------------------
     def score(self, candidate: Iterable[str]) -> int:
@@ -858,7 +852,6 @@ def _single_fix_strategy(
     k: int = 1,
     pool: Sequence[str] | None = None,
     solver_backend: str | None = None,
-    should_stop: Callable[[], bool] | None = None,
     budget=None,
 ) -> SolutionSetResult:
     """All size-1 corrections via the space's singleton sweep.
@@ -868,13 +861,11 @@ def _single_fix_strategy(
     returns) rather than every pool gate.
 
     ``solver_backend`` is accepted for registry uniformity; the sweep is
-    pure simulation, so it has no effect here.  ``should_stop`` and
-    ``budget`` are polled once, before the sweep (one bounded
-    simulation), so a cancelled run does no work.
+    pure simulation, so it has no effect here.  ``budget``
+    (:class:`repro.sat.budget.Budget`) is polled once, before the sweep
+    (one bounded simulation), so a cancelled run does no work.
     """
-    if (should_stop is not None and should_stop()) or (
-        budget is not None and budget.poll()
-    ):
+    if budget is not None and budget.poll():
         return SolutionSetResult(
             approach="single-fix",
             k=1,

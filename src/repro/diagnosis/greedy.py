@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..circuits.netlist import Circuit
 from ..testgen.testset import TestSet
@@ -56,7 +56,7 @@ def _minimize(
     rng: random.Random,
     patience: int,
     deep_check: bool,
-    should_stop: Callable[[], bool] | None = None,
+    budget=None,
 ) -> Correction | None:
     """One SAFARI climb: stochastic retraction, then deterministic trim.
 
@@ -67,7 +67,7 @@ def _minimize(
     retraction and the candidate is small, the exact oracle gets the
     final say.
 
-    ``should_stop`` is polled once per retraction attempt; a cancelled
+    ``budget`` is polled once per retraction attempt; a cancelled
     climb returns None (its partial candidate is consistent but not yet
     minimal, so it is discarded rather than reported).
     """
@@ -80,7 +80,7 @@ def _minimize(
     current = list(candidate)
     misses = 0
     while misses < patience and len(current) > 1:
-        if should_stop is not None and should_stop():
+        if budget is not None and budget.poll():
             return None
         g = current[rng.randrange(len(current))]
         if _can_retract(session, words, counts, current, g, deep_check):
@@ -100,7 +100,7 @@ def _minimize(
         for g in order:
             if len(current) == 1:
                 break
-            if should_stop is not None and should_stop():
+            if budget is not None and budget.poll():
                 return None
             if g in current and _can_retract(
                 session, words, counts, current, g, deep_check
@@ -153,7 +153,6 @@ def greedy_stochastic_diagnose(
     deep_check: bool = True,
     session: DiagnosisSession | None = None,
     solver_backend: str | None = None,
-    should_stop: Callable[[], bool] | None = None,
     budget=None,
 ) -> SolutionSetResult:
     """SAFARI-style greedy stochastic search for valid corrections.
@@ -182,19 +181,16 @@ def greedy_stochastic_diagnose(
         words cannot see).
     session:
         Reuse a prepared session (shared caches) instead of building one.
-    should_stop:
-        Cooperative cancellation hook (the serving race): polled before
-        each climb and once per retraction attempt inside a climb.  A
-        cancelled run returns the minima found so far with
+    budget:
+        :class:`repro.sat.budget.Budget`, the cooperative stop signal
+        (the serving ladder's deadline and cancel flag): polled before
+        each climb and once per retraction attempt inside a climb (the
+        climbs are pure simulation — each retraction is one bounded
+        cover-word update, so per-retraction polling bounds the
+        overrun).  A cancelled run returns the minima found so far with
         ``extras["cancelled"]=True``; the interrupted climb's partial
         candidate is discarded, so every reported solution is still a
         verified subset-minimal correction.
-    budget:
-        :class:`repro.sat.budget.Budget` polled at the same sites as
-        ``should_stop`` (the climbs are pure simulation — each
-        retraction is one bounded cover-word update, so per-retraction
-        polling already bounds the overrun); a budget stop marks
-        ``extras["interrupted"]``.
 
     Returns a :class:`SolutionSetResult` (``approach="SAFARI"``); every
     solution is a verified valid correction.  ``complete`` is always
@@ -208,14 +204,6 @@ def greedy_stochastic_diagnose(
                 "existing session"
             )
         session = DiagnosisSession(circuit, tests)
-    if budget is not None:
-        user_stop = should_stop
-
-        def should_stop() -> bool:  # noqa: F811 - deliberate rebind
-            return (
-                user_stop is not None and user_stop()
-            ) or budget.poll()
-
     if seed is None:
         seed = session.seed
     # Per-kind stream offset: 0 for circuits (preserving the historical
@@ -250,13 +238,13 @@ def greedy_stochastic_diagnose(
         for r in range(retries):
             if max_solutions is not None and len(solutions) >= max_solutions:
                 break
-            if should_stop is not None and should_stop():
+            if budget is not None and budget.poll():
                 cancelled = True
                 break
             rng = random.Random(seed * 1_000_003 + kind_offset + r)
             minimal = _minimize(
                 session, words, list(full), rng, patience, deep_check,
-                should_stop=should_stop,
+                budget=budget,
             )
             if minimal is None:
                 cancelled = True
@@ -286,11 +274,6 @@ def greedy_stochastic_diagnose(
             "pool_consistent": pool_consistent,
             "distinct_minima": len(seen),
             **({"cancelled": True} if cancelled else {}),
-            **(
-                {"interrupted": True}
-                if budget is not None and budget.interrupted
-                else {}
-            ),
         },
     )
 

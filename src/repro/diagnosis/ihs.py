@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..circuits.netlist import Circuit
 from ..sat.cardinality import IncrementalTotalizer
@@ -101,7 +101,6 @@ def ihs_diagnose(
     max_rounds: int = 10_000,
     session: DiagnosisSession | None = None,
     solver_backend: str | None = None,
-    should_stop: Callable[[], bool] | None = None,
     budget=None,
 ) -> SolutionSetResult:
     """Implicit hitting set search for minimum-cardinality corrections.
@@ -119,10 +118,13 @@ def ihs_diagnose(
         candidates of the successful cardinality).
     max_rounds:
         Safety valve on hitting-set/consistency-check iterations.
-    should_stop:
-        Cooperative cancellation hook (the serving race): polled once
-        per hitting-set round.  A cancelled run returns the solutions
-        found so far with ``complete=False`` and
+    budget:
+        :class:`repro.sat.budget.Budget`, the cooperative stop signal
+        (the serving ladder's deadline and cancel flag): polled once per
+        hitting-set round *and* threaded into the hitting-set solves, so
+        a hard hitting-set query cannot overrun a deadline by more than
+        the budget's conflict-poll interval.  A cancelled run returns
+        the solutions found so far with ``complete=False`` and
         ``extras["cancelled"]=True``; its scope closes normally and the
         conflicts it accumulated remain (they are facts about the
         problem, sound for any later call).
@@ -132,12 +134,6 @@ def ihs_diagnose(
     cardinality that admits one; ``extras`` records the conflict and
     SAT-core counts.  ``complete`` is True when the enumeration of that
     cardinality was exhausted.
-
-    ``budget`` (:class:`repro.sat.budget.Budget`) is polled per round
-    like ``should_stop`` *and* threaded into the hitting-set solves, so
-    a hard hitting-set query cannot overrun a race deadline by more
-    than the budget's conflict-poll interval; a budget stop marks
-    ``extras["interrupted"]`` alongside ``cancelled``.
     """
     start = time.perf_counter()
     if session is None:
@@ -251,38 +247,27 @@ def ihs_diagnose(
     found_bound: int | None = None
     infeasible = False
     cancelled = False
-    interrupted = False
     try:
         for bound in range(1, k_max + 1):
             if found_bound is not None or infeasible or cancelled:
                 break
             assumptions = state.totalizer.bound_assumptions(bound) + [act]
             while True:
-                if should_stop is not None and should_stop():
-                    complete = False
-                    cancelled = True
-                    break
                 if budget is not None and budget.poll():
                     complete = False
                     cancelled = True
-                    interrupted = True
                     break
                 if rounds >= max_rounds:
                     complete = False
                     infeasible = True  # stop escalating the bound too
                     break
                 rounds += 1
-                if budget is None:
-                    feasible = hitter.solve(assumptions=assumptions)
-                else:
-                    feasible = hitter.solve(
-                        assumptions=assumptions, budget=budget
-                    )
-                    if feasible is None:
-                        complete = False
-                        cancelled = True
-                        interrupted = True
-                        break
+                feasible = hitter.solve(assumptions=assumptions, budget=budget)
+                if feasible is None:
+                    # No conflict limit here: only the budget stops it.
+                    complete = False
+                    cancelled = True
+                    break
                 if not feasible:
                     break  # no hitting set of this cardinality remains
                 h = tuple(
@@ -343,7 +328,6 @@ def ihs_diagnose(
             "conflicts": len(conflicts),
             "sat_cores": cores,
             **({"cancelled": True} if cancelled else {}),
-            **({"interrupted": True} if interrupted else {}),
         },
     )
 

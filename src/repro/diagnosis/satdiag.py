@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..circuits.netlist import Circuit
 from ..sat.budget import SearchInterrupted
@@ -90,11 +90,11 @@ class DiagnosisInstance:
     bound_outputs: list[int]
     k_max: int
     suspects: tuple[str, ...]
+    #: Incremental totalizer behind ``bound_outputs`` (a view shares its
+    #: master's).
+    totalizer: IncrementalTotalizer
     build_time: float = 0.0
     extras: dict[str, object] = field(default_factory=dict)
-    #: Incremental totalizer behind ``bound_outputs`` (present on all new
-    #: instances; None only for hand-built legacy instances).
-    totalizer: IncrementalTotalizer | None = None
     #: Persistent instances live in a session cache and serve many
     #: queries; their enumerations are scoped by activation literals and
     #: their complete results are memoized in ``results_cache``.
@@ -130,16 +130,10 @@ class DiagnosisInstance:
 
     def bound_assumptions(self, bound: int) -> list[int]:
         """Assumption literals enforcing "at most ``bound`` selects"."""
-        if self.totalizer is not None:
-            # Views share the master's totalizer, whose outputs may have
-            # been extended through a sibling view — its own method
-            # always sees the current outputs.
-            return self.totalizer.bound_assumptions(bound)
-        if bound < 0:
-            raise ValueError("bound must be non-negative")
-        if bound >= len(self.bound_outputs):
-            return []
-        return [-self.bound_outputs[bound]]
+        # Views share the master's totalizer, whose outputs may have
+        # been extended through a sibling view — its own method always
+        # sees the current outputs.
+        return self.totalizer.bound_assumptions(bound)
 
     def extend_k(self, k_max: int) -> None:
         """Grow the cardinality bound in place (incremental totalizer)."""
@@ -151,10 +145,6 @@ class DiagnosisInstance:
             self.k_max = k_max
             self.results_cache.clear()  # cached keys are per-k sweeps
             return
-        if self.totalizer is None:
-            raise ValueError(
-                "instance was built without an incremental totalizer"
-            )
         self.totalizer.extend(min(k_max, len(self.suspects)))
         self.bound_outputs = self.totalizer.outputs
         self.k_max = k_max
@@ -730,7 +720,6 @@ def basic_sat_diagnose(
     approach_name: str = "BSAT",
     session: DiagnosisSession | None = None,
     solver_backend: str | None = None,
-    should_stop: Callable[[], bool] | None = None,
     budget=None,
 ) -> SolutionSetResult:
     """``BasicSATDiagnose(I, T, k)`` — Fig. 3 of the paper.
@@ -748,21 +737,17 @@ def basic_sat_diagnose(
     instance, but no CNF rebuild, and a repeated identical query is
     served from the instance's result memo (``extras["cached"]``).
 
-    ``should_stop`` is the cooperative cancellation hook of the serving
-    race: it is polled before each cardinality bound and after each
-    enumerated solution (the check interval is one solver call).  A
-    cancelled run returns what it found with ``complete=False`` and
+    ``budget`` (:class:`repro.sat.budget.Budget`) is the cooperative
+    stop signal of the serving ladder (deadline and cancel flag): it is
+    polled before each cardinality bound and after each enumerated
+    solution, and threaded into every solve of the enumeration, so a
+    deadline or cancel lands mid-query within
+    ``budget.conflict_poll_interval`` conflicts.  A cancelled run
+    returns what it found with ``complete=False`` and
     ``extras["cancelled"]=True``, closes its activation scope normally,
     and is **not** memoized — cancellation is external nondeterminism
-    that must not poison the instance's result cache.
-
-    ``budget`` (:class:`repro.sat.budget.Budget`) tightens the check
-    interval from "one solver call" to "one conflict-poll interval":
-    it is threaded into every solve of the enumeration, so a deadline
-    or cancellation lands mid-query within
-    ``budget.conflict_poll_interval`` conflicts.  A budget-interrupted
-    run is treated exactly like a cancelled one (``complete=False``,
-    not memoized) and additionally sets ``extras["interrupted"]``.
+    that must not poison the instance's result cache.  (A
+    ``conflict_limit`` stop is deterministic: it is memoized.)
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -844,7 +829,6 @@ def basic_sat_diagnose(
     t_first: float | None = None
     complete = True
     cancelled = False
-    interrupted = False
     search_start = time.perf_counter()
     try:
         # The cardinality loop below starts at bound 1, so it never asks
@@ -860,21 +844,14 @@ def basic_sat_diagnose(
             base_assumptions + [-v for v in select_vars] + extra_assumptions
         )
         probe_before = {key: solver.stats[key] for key in _DELTA_KEYS}
-        if budget is None:
-            probe = solver.solve(
-                assumptions=probe_assumptions, conflict_limit=conflict_limit
-            )
-        else:
-            probe = solver.solve(
-                assumptions=probe_assumptions,
-                conflict_limit=conflict_limit,
-                budget=budget,
-            )
+        probe = solver.solve(
+            assumptions=probe_assumptions,
+            conflict_limit=conflict_limit,
+            budget=budget,
+        )
         if probe is None:
             complete = False
-            if budget is not None and getattr(solver, "interrupted", False):
-                cancelled = True
-                interrupted = True
+            cancelled = budget is not None and budget.interrupted
         elif probe:
             solution: Correction = frozenset()
             t_first = time.perf_counter() - search_start
@@ -892,14 +869,9 @@ def basic_sat_diagnose(
         # the last (exhausted) enumeration: stop there.
         last_bound = min(k, len(select_vars)) if empty_unsat else 0
         for bound in range(1, last_bound + 1):
-            if should_stop is not None and should_stop():
-                complete = False
-                cancelled = True
-                break
             if budget is not None and budget.poll():
                 complete = False
                 cancelled = True
-                interrupted = True
                 break
             assumptions = (
                 base_assumptions
@@ -936,13 +908,12 @@ def basic_sat_diagnose(
                             solution
                         )
                     solutions.append(solution)
-                    if should_stop is not None and should_stop():
+                    if budget is not None and budget.poll():
                         cancelled = True
                         break
             except SearchInterrupted:
                 complete = False
                 cancelled = True
-                interrupted = True
                 break
             except TimeoutError:
                 complete = False
@@ -973,8 +944,6 @@ def basic_sat_diagnose(
     }
     if cancelled:
         extras["cancelled"] = True
-    if interrupted:
-        extras["interrupted"] = True
     if collect_corrections:
         extras["corrections"] = corrections
     return SolutionSetResult(
@@ -995,6 +964,7 @@ def auto_k_sat_diagnose(
     k_max: int = 4,
     session: DiagnosisSession | None = None,
     solver_backend: str | None = None,
+    budget=None,
     **kwargs,
 ) -> SolutionSetResult:
     """Automatically determine the error cardinality (Table 1: "or
@@ -1007,19 +977,20 @@ def auto_k_sat_diagnose(
     over between the attempts — and with a ``session``, the probes run on
     the session's persistent instance, so a later ``bsat`` query reuses
     everything this sweep learned.
+
+    ``budget`` (:class:`repro.sat.budget.Budget`) is polled before the
+    instance build and before each bound, threaded into every
+    feasibility probe and handed on to the enumeration
+    (:func:`basic_sat_diagnose`); a stopped run reports
+    ``extras["cancelled"]=True``.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     suspects = kwargs.pop("suspects", None)
     constrain_all_outputs = kwargs.pop("constrain_all_outputs", False)
     select_zero_clauses = kwargs.pop("select_zero_clauses", False)
-    should_stop = kwargs.get("should_stop")
-    budget = kwargs.get("budget")
 
     def cancelled(t_build: float) -> SolutionSetResult:
-        extras = {"k_found": None, "cancelled": True}
-        if budget is not None and budget.interrupted:
-            extras["interrupted"] = True
         return SolutionSetResult(
             approach="BSAT/auto-k",
             k=k_max,
@@ -1028,18 +999,13 @@ def auto_k_sat_diagnose(
             t_build=t_build,
             t_first=0.0,
             t_all=0.0,
-            extras=extras,
-        )
-
-    def stopped() -> bool:
-        return (should_stop is not None and should_stop()) or (
-            budget is not None and budget.poll()
+            extras={"k_found": None, "cancelled": True},
         )
 
     # Poll before the build: building the instance is the rung's
     # largest uninterruptible step, so a rung that starts cancelled or
     # past its deadline must not pay it.
-    if stopped():
+    if budget is not None and budget.poll():
         return cancelled(0.0)
     if (
         session is not None
@@ -1071,27 +1037,20 @@ def auto_k_sat_diagnose(
     # capped there too); bound 1 still runs on an empty pool, where it
     # decides whether the empty correction is consistent.
     for k in range(1, min(k_max, max(1, len(instance.suspects))) + 1):
-        if stopped():
+        if budget is not None and budget.poll():
             return cancelled(instance.build_time)
-        if budget is None:
-            feasible = solver.solve(
-                assumptions=instance.base_assumptions()
-                + instance.bound_assumptions(k)
-            )
-        else:
-            # Budgeted probe: the feasibility solve is exactly the kind
-            # of unbounded query a race deadline used to hang on.
-            feasible = solver.solve(
-                assumptions=instance.base_assumptions()
-                + instance.bound_assumptions(k),
-                budget=budget,
-            )
-            if feasible is None:
-                return cancelled(instance.build_time)
+        # No conflict limit on the probe: only the budget stops it.
+        feasible = solver.solve(
+            assumptions=instance.base_assumptions()
+            + instance.bound_assumptions(k),
+            budget=budget,
+        )
+        if feasible is None:
+            return cancelled(instance.build_time)
         if feasible:
             result = basic_sat_diagnose(
                 circuit, tests, k, instance=instance,
-                approach_name="BSAT/auto-k", **kwargs,
+                approach_name="BSAT/auto-k", budget=budget, **kwargs,
             )
             extras = dict(result.extras)
             extras["k_found"] = k

@@ -1,36 +1,32 @@
 """Cooperative solver budgets: bounded-overrun cancellation.
 
-The serving deadlines (:mod:`repro.serve.race`) used to rely on
-strategy-level ``should_stop`` polls — once per retraction, hitting-set
-round or enumeration step.  A single hard SAT query between two polls
-could overrun the deadline unboundedly, and the compiled kernels
-(:mod:`repro.sat.compiled`) never return to Python at all until the
-query finishes.  A :class:`Budget` pushes the check into the search
-loops themselves:
+A :class:`Budget` is the one stop signal of a diagnosis run: a deadline
+and a cancel hook, polled both at a strategy's coarse check points and
+inside the SAT search loops, so one hard query cannot overrun a
+deadline unboundedly:
 
 * the interpreted arena solver (:class:`repro.sat.solver.Solver`) polls
   the budget every :attr:`~Budget.conflict_poll_interval` conflicts
-  (and every :attr:`~Budget.propagation_poll_interval` propagations, so
+  (and every :data:`PROPAGATION_POLL_INTERVAL` propagations, so
   decision-heavy, conflict-light instances stay responsive);
 * the compiled backend re-enters its jitted kernel in chunks of at most
   ``conflict_poll_interval`` conflicts, polling between chunks and
   carrying the learnt clauses across re-entries (see
   :meth:`repro.sat.compiled.CompiledSolver.solve`);
-* strategies poll :meth:`Budget.expired` at their usual coarse points
-  exactly as they poll ``should_stop`` today.
+* strategies poll :meth:`Budget.poll` once per check point (a bound, a
+  climb step, a hitting-set round, an enumerated solution).
 
 An interrupted search returns ``None`` from ``solve()`` — the same
-answer surface as a ``conflict_limit`` stop — but additionally sets the
-solver's ``interrupted`` flag and the budget's :attr:`~Budget.reason`,
-so callers can distinguish "deadline/cancel" from "bounded probe ran
-out" (the enumeration layer raises :class:`SearchInterrupted` for the
-former and plain :class:`TimeoutError` for the latter).
+answer surface as a ``conflict_limit`` stop — and the budget's
+:attr:`~Budget.interrupted` flag and :attr:`~Budget.reason` tell the
+two apart (the enumeration layer raises :class:`SearchInterrupted` for
+a budget stop and plain :class:`TimeoutError` for a conflict limit).
 
-Budgets are *stateful accounting objects*: the conflict/propagation
-caps are cumulative across every solver call charged against the same
-instance, which is exactly what a race leg wants (one budget for the
-whole leg, not per query).  They are not thread-safe — give each leg
-its own instance and share only the ``should_stop`` callable.
+Budgets are stateful: the work counters are cumulative across every
+solver call charged against the same instance (one budget for a whole
+ladder, not per query), and a tripped budget stays tripped.  They are
+not thread-safe — give each ladder its own instance and share only the
+``should_stop`` callable.
 """
 
 from __future__ import annotations
@@ -39,7 +35,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["Budget", "SearchInterrupted"]
+__all__ = ["Budget", "SearchInterrupted", "PROPAGATION_POLL_INTERVAL"]
+
+#: Secondary poll cadence of the arena solver on conflict-light
+#: stretches, in propagations.
+PROPAGATION_POLL_INTERVAL = 20000
 
 
 class SearchInterrupted(TimeoutError):
@@ -53,7 +53,7 @@ class SearchInterrupted(TimeoutError):
 
 @dataclass
 class Budget:
-    """Cumulative work caps plus a cooperative stop signal.
+    """A deadline plus a cooperative cancel hook.
 
     Parameters
     ----------
@@ -63,86 +63,46 @@ class Budget:
     deadline:
         Absolute :func:`time.monotonic` timestamp; reaching it trips
         the budget with reason ``"deadline"``.
-    max_conflicts / max_propagations:
-        Cumulative caps across every charge against this budget;
-        exceeding one trips with reason ``"conflicts"`` /
-        ``"propagations"``.
     conflict_poll_interval:
         How many conflicts a search loop may run between polls — the
         bound on cancellation overrun the serving layer asserts.
-    propagation_poll_interval:
-        Secondary poll cadence for conflict-light stretches.
     """
 
     should_stop: Callable[[], bool] | None = None
     deadline: float | None = None
-    max_conflicts: int | None = None
-    max_propagations: int | None = None
     conflict_poll_interval: int = 64
-    propagation_poll_interval: int = 20000
 
     #: Work charged so far (cumulative, all solver calls).
     conflicts: int = 0
     propagations: int = 0
     #: Set once the budget trips; never reset.
     interrupted: bool = False
-    #: Why it tripped: "cancelled", "deadline", "conflicts",
-    #: "propagations" (None while live).
+    #: Why it tripped: "cancelled" or "deadline" (None while live).
     reason: str | None = None
 
     def __post_init__(self) -> None:
         if self.conflict_poll_interval < 1:
             raise ValueError("conflict_poll_interval must be >= 1")
-        if self.propagation_poll_interval < 1:
-            raise ValueError("propagation_poll_interval must be >= 1")
-
-    @classmethod
-    def from_deadline(
-        cls,
-        seconds: float,
-        should_stop: Callable[[], bool] | None = None,
-        **kwargs,
-    ) -> "Budget":
-        """A budget expiring ``seconds`` from now (monotonic clock)."""
-        return cls(
-            should_stop=should_stop,
-            deadline=time.monotonic() + seconds,
-            **kwargs,
-        )
 
     def _trip(self, reason: str) -> bool:
-        if not self.interrupted:
-            self.interrupted = True
-            self.reason = reason
+        self.interrupted = True
+        self.reason = reason
         return True
 
     def poll(self) -> bool:
-        """Check every stop condition; ``True`` means stop now.
+        """Check the deadline, then the cancel hook; ``True`` means stop
+        now.
 
         Once tripped a budget stays tripped — later polls return True
         immediately without re-evaluating the conditions.
         """
         if self.interrupted:
             return True
-        if (
-            self.max_conflicts is not None
-            and self.conflicts >= self.max_conflicts
-        ):
-            return self._trip("conflicts")
-        if (
-            self.max_propagations is not None
-            and self.propagations >= self.max_propagations
-        ):
-            return self._trip("propagations")
         if self.deadline is not None and time.monotonic() >= self.deadline:
             return self._trip("deadline")
         if self.should_stop is not None and self.should_stop():
             return self._trip("cancelled")
         return False
-
-    #: Strategy-level alias: poll at the same coarse points as
-    #: ``should_stop`` today.
-    expired = poll
 
     def charge(self, conflicts: int = 0, propagations: int = 0) -> bool:
         """Record consumed work, then :meth:`poll`."""
@@ -155,9 +115,3 @@ class Budget:
         the solver's normal-exit path)."""
         self.conflicts += conflicts
         self.propagations += propagations
-
-    def conflicts_remaining(self) -> int | None:
-        """Conflicts left under ``max_conflicts`` (None = uncapped)."""
-        if self.max_conflicts is None:
-            return None
-        return max(0, self.max_conflicts - self.conflicts)

@@ -643,9 +643,6 @@ class CompiledSolver:
         self._has_model = False
         self._model_buf: np.ndarray | None = None
         self._core: list[int] = []
-        #: True iff the last solve() returned None because its Budget
-        #: tripped (mirrors the arena solver's flag).
-        self.interrupted = False
         self.stats: dict[str, int] = {
             "conflicts": 0,
             "decisions": 0,
@@ -777,11 +774,9 @@ class CompiledSolver:
         """
         self._has_model = False
         self._core = []
-        self.interrupted = False
         if not self._ok:
             return False
         if budget is not None and budget.poll():
-            self.interrupted = True
             return None
         for a in assumptions:
             self.ensure_vars(abs(a))
@@ -803,13 +798,9 @@ class CompiledSolver:
         while True:
             if budget is None:
                 chunk = -1
+                limit = -1 if conflict_limit is None else conflict_limit
             else:
                 chunk = budget.conflict_poll_interval
-                remaining = budget.conflicts_remaining()
-                if remaining is not None:
-                    chunk = min(chunk, max(1, remaining))
-            limit = -1 if conflict_limit is None else conflict_limit
-            if budget is not None:
                 # the wrapper enforces conflict_limit cumulatively
                 limit = -1
             stats_out = np.zeros(6, np.int64)
@@ -851,7 +842,6 @@ class CompiledSolver:
             if budget is None:
                 return None  # conflict_limit hit inside the kernel
             if tripped:
-                self.interrupted = True
                 return None
             if (
                 conflict_limit is not None

@@ -108,20 +108,13 @@ def enumerate_solutions(
             if stats_deltas is not None
             else None
         )
-        if budget is None:
-            result = solver.solve(
-                assumptions=assumptions, conflict_limit=conflict_limit
-            )
-        else:
-            result = solver.solve(
-                assumptions=assumptions,
-                conflict_limit=conflict_limit,
-                budget=budget,
-            )
+        result = solver.solve(
+            assumptions=assumptions,
+            conflict_limit=conflict_limit,
+            budget=budget,
+        )
         if result is None:
-            if budget is not None and getattr(
-                solver, "interrupted", False
-            ):
+            if budget is not None and budget.interrupted:
                 raise SearchInterrupted(
                     f"enumeration interrupted by budget ({budget.reason})"
                 )

@@ -244,12 +244,10 @@ class LegacySolver:
         boundaries only — the oracle solver keeps its loop simple; use
         the arena backends where bounded overrun matters.
         """
-        self.interrupted = False
         if not self._ok:
             self._conflict_core = []
             return False
         if budget is not None and budget.poll():
-            self.interrupted = True
             return None
         self._cancel_until(0)
         if self._propagate() is not None:
@@ -278,7 +276,6 @@ class LegacySolver:
                 )
                 charged_conflicts = self.stats["conflicts"]
                 if stop:
-                    self.interrupted = True
                     self._cancel_until(0)
                     return None
             if (

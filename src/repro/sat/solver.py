@@ -69,6 +69,7 @@ import heapq
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
+from .budget import PROPAGATION_POLL_INTERVAL
 from .types import to_dimacs, to_internal
 
 __all__ = ["Solver", "SolveResult"]
@@ -145,10 +146,6 @@ class Solver:
         # descent (see also add_clause's minimal-backjump insertion).
         self._last_assumptions: tuple[int, ...] | None = None
         self._last_status: SolveResult = None
-        #: True iff the last solve() returned None because its Budget
-        #: tripped (deadline / cancel / cap) — distinct from a
-        #: conflict_limit stop, which leaves this False.
-        self.interrupted = False
         self._proof = None  # ProofLog when DRAT logging is active
         self.stats: dict[str, int] = {
             "conflicts": 0,
@@ -505,19 +502,18 @@ class Solver:
         False (UNSAT; :meth:`core` returns the failed assumptions), or None
         if ``conflict_limit`` conflicts were exceeded — or if ``budget``
         (a :class:`repro.sat.budget.Budget`) tripped, in which case
-        :attr:`interrupted` is additionally True.  The budget is polled
-        inside :meth:`_search` every ``budget.conflict_poll_interval``
-        conflicts (and every ``budget.propagation_poll_interval``
-        propagations on conflict-light stretches), so cancellation
+        ``budget.interrupted`` is True.  The budget is polled inside
+        :meth:`_search` every ``budget.conflict_poll_interval``
+        conflicts (and every
+        :data:`~repro.sat.budget.PROPAGATION_POLL_INTERVAL` propagations
+        on conflict-light stretches), so cancellation
         overrun is bounded by the poll interval rather than by however
         long the query takes.
         """
-        self.interrupted = False
         if not self._ok:
             self._conflict_core = []
             return False
         if budget is not None and budget.poll():
-            self.interrupted = True
             self._last_status = None
             return None
         for a in assumptions:
@@ -561,15 +557,12 @@ class Solver:
             restart_idx += 1
             limit = 100 * _luby(restart_idx)
             status = self._search(limit, internal_assumptions, budget)
-            if self.interrupted:
-                self._last_status = None
-                return None
             if status is None and budget is not None and budget.poll():
-                # Restart-boundary poll: _search notes its sub-interval
-                # remainder without polling, so without this check the
-                # poll grid drifts and overrun could reach ~2x the
-                # configured interval.
-                self.interrupted = True
+                # Either _search tripped the budget, or this
+                # restart-boundary poll does: _search notes its
+                # sub-interval remainder without polling, so without
+                # this check the poll grid drifts and overrun could
+                # reach ~2x the configured interval.
                 self._cancel_until(0)
                 self._last_status = None
                 return None
@@ -646,7 +639,7 @@ class Solver:
         # still reach a poll.  charged_c/charged_p track what has been
         # handed to the budget so the finally block can settle the rest.
         poll_every = 0 if budget is None else budget.conflict_poll_interval
-        prop_poll = 0 if budget is None else budget.propagation_poll_interval
+        prop_poll = 0 if budget is None else PROPAGATION_POLL_INTERVAL
         charged_c = 0
         charged_p = 0
         try:
@@ -785,7 +778,6 @@ class Solver:
                         charged_c = conflicts
                         charged_p = props
                         if stop:
-                            self.interrupted = True
                             self._qhead = qhead
                             self._cancel_until(0)
                             qhead = self._qhead
@@ -803,7 +795,6 @@ class Solver:
                     charged_c = conflicts
                     charged_p = props
                     if stop:
-                        self.interrupted = True
                         self._qhead = qhead
                         self._cancel_until(0)
                         qhead = self._qhead

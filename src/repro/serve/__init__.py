@@ -15,7 +15,8 @@ service layers:
     master-encoding skeleton, result memo) built once per design.
 ``race``
     :func:`race_device` — the strategy ladder, run inline per device,
-    with cooperative ``should_stop``/budget cancellation; an
+    every rung stopped by the device's one
+    :class:`~repro.sat.budget.Budget` (deadline and cancel flag); an
     interrupted ladder returns what it already holds (verified
     corrections so far, else the single-fix sweep's top-marked gates)
     as its degraded answer.

@@ -33,8 +33,9 @@ shows up as end-of-file on its reader — a SIGKILL mid-reply included —
 and the reader hands the worker's unanswered attempts back to the
 dispatcher, which retries the running one and re-routes the rest.  A
 cancel reaches the worker's control thread, which sets the attempt's
-cancel event, so the running rung stops at its next
-``Budget.should_stop`` poll: cancellation still lands mid-solve.
+cancel event, so the running rung stops at its next poll of the
+ladder's :class:`~repro.sat.budget.Budget`: cancellation still lands
+mid-solve.
 
 Workers ``warm_up()`` a compiled backend before their ready handshake,
 so JIT compile cost never lands on a device.

@@ -28,10 +28,11 @@ threaded race with a 20 ms stagger spent ~0.3 s of CPU per
 sim1423/sim6669 device, where the ladder answers most of them with one
 sweep; see ROADMAP.md, "Serving guide").
 
-Every rung carries the device's :class:`~repro.sat.budget.Budget`
-(deadline plus the dispatcher's cancel flag, polled in the SAT search
-every ``conflict_poll_interval`` conflicts), so a cancel or deadline
-lands mid-solve and the ladder stops at the rung it interrupted.
+Every rung carries the device's :class:`~repro.sat.budget.Budget`, its
+one stop signal: the deadline plus the dispatcher's cancel flag, polled
+at each rung's check points and in the SAT search every
+:data:`CONFLICT_POLL_INTERVAL` conflicts, so a cancel or deadline lands
+mid-solve and the ladder stops at the rung it interrupted.
 
 An interrupted ladder is an anytime search (SAFARI's framing): it
 returns what it already holds as the outcome's ``partial``, the
@@ -58,7 +59,6 @@ baseline (used by the parity gate of ``bench_serve.py``).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 from ..diagnosis.base import Correction, SolutionSetResult
@@ -77,6 +77,10 @@ _DEFAULT_K_MAX = 4
 
 #: A guidance partial names at most this many top-marked gates.
 GUIDANCE_TOP = 8
+
+#: Conflicts the SAT search may run between two polls of the ladder's
+#: budget: the bound on how far a cancel or deadline overruns mid-solve.
+CONFLICT_POLL_INTERVAL = 64
 
 
 @dataclass
@@ -145,7 +149,6 @@ def run_leg(
     strategy: str,
     k: int | None,
     first_only: bool,
-    should_stop,
     solver_backend: str | None = None,
     budget: Budget | None = None,
 ) -> SolutionSetResult:
@@ -153,14 +156,13 @@ def run_leg(
 
     ``first_only`` runs the rung to its *first* solution (the serving
     mode); otherwise it runs to completion (the reference mode).
-    ``budget`` threads solver-level cancellation into the rung: the SAT
-    search itself polls every ``budget.conflict_poll_interval``
-    conflicts, so a cancelled or past-deadline rung stops mid-solve
-    instead of at the next solver-call boundary.
+    ``budget`` is the rung's stop signal: the rung polls it at its own
+    check points and the SAT search every
+    ``budget.conflict_poll_interval`` conflicts, so a cancelled or
+    past-deadline rung stops mid-solve instead of at the next
+    solver-call boundary.
     """
-    options: dict = {"should_stop": should_stop}
-    if budget is not None:
-        options["budget"] = budget
+    options: dict = {"budget": budget}
     if solver_backend is not None:
         options["solver_backend"] = solver_backend
     if strategy == "single-fix":
@@ -198,42 +200,32 @@ def race_device(
     cancel: threading.Event | None = None,
     deadline: float | None = None,
     solver_backend: str | None = None,
-    conflict_poll_interval: int = 64,
 ) -> RaceOutcome:
     """Run the ``strategies`` ladder on one prepared session; the first
     rung with solutions wins.
 
     ``cancel`` is the dispatcher's plug and ``deadline`` a
-    ``time.monotonic()`` timestamp.  Both reach every rung through its
-    ``should_stop`` hook and the device's
-    :class:`~repro.sat.budget.Budget`; once either fires, the running
-    rung stops at its next poll, the rest never start, and the outcome
-    reports ``cancelled=True`` (plus ``timed_out=True`` when the
-    deadline passed) and what the ladder already held as ``partial``.
+    ``time.monotonic()`` timestamp.  Both reach every rung through the
+    device's :class:`~repro.sat.budget.Budget`; once either fires, the
+    running rung stops at its next poll, the rest never start, and the
+    outcome reports ``cancelled=True`` (plus ``timed_out=True`` when the
+    budget's reason is the deadline) and what the ladder already held as
+    ``partial``.
     """
     if not strategies:
         raise ValueError("the race needs at least one strategy")
     outcome = RaceOutcome()
     marks: dict[str, int] = {}
-    should_stop = budget = None
+    budget = None
     if cancel is not None or deadline is not None:
-
-        def should_stop() -> bool:
-            if cancel is not None and cancel.is_set():
-                return True
-            return deadline is not None and time.monotonic() >= deadline
-
-        # The deadline is enforced inside the solver; the budget's own
-        # stop check picks up the watchdog's cancel flag.
         budget = Budget(
             should_stop=cancel.is_set if cancel is not None else None,
             deadline=deadline,
-            conflict_poll_interval=conflict_poll_interval,
+            conflict_poll_interval=CONFLICT_POLL_INTERVAL,
         )
     for i, name in enumerate(strategies):
         result = run_leg(
             session, name, k, first_only,
-            should_stop=should_stop,
             solver_backend=solver_backend,
             budget=budget,
         )
@@ -241,9 +233,7 @@ def race_device(
         if result.extras.get("cancelled"):
             outcome.cancelled = True
             outcome.cancelled_legs = len(strategies) - i
-            outcome.timed_out = (
-                deadline is not None and time.monotonic() >= deadline
-            )
+            outcome.timed_out = budget.reason == "deadline"
             outcome.partial = _partial(result, marks)
             break
         if result.solutions:

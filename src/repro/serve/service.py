@@ -209,12 +209,6 @@ class DiagnosisService:
     queue_size:
         Attempts an executor may hold that it has not started; past it
         :meth:`run` blocks (backpressure).
-    conflict_poll_interval:
-        Solver-level cancellation granularity: every rung carries a
-        :class:`~repro.sat.budget.Budget` polled at least this often
-        (in conflicts), so a deadline or cancellation lands mid-solve
-        within a bounded number of conflicts rather than at the next
-        solver-call boundary.
     degrade:
         When a device's last attempt is cancelled, resolve it
         ``status="degraded"`` from what that attempt's ladder already
@@ -253,7 +247,6 @@ class DiagnosisService:
         timeout: float | None = None,
         max_attempts: int = 2,
         queue_size: int = 2,
-        conflict_poll_interval: int = 64,
         degrade: bool = True,
         journal: ResultJournal | None = None,
         resume_from: JournalReplay | None = None,
@@ -276,12 +269,9 @@ class DiagnosisService:
                     f"unknown strategy {name!r} (expected one of "
                     f"{', '.join(RUNGS)})"
                 )
-        if conflict_poll_interval < 1:
-            raise ValueError("conflict_poll_interval must be at least 1")
         self.ladder = Ladder(
             strategies=strategies,
             first_only=policy == "first",
-            conflict_poll_interval=conflict_poll_interval,
             solver_backend=solver_backend,
         )
         self.timeout = timeout

@@ -65,7 +65,6 @@ class Ladder:
 
     strategies: tuple[str, ...]
     first_only: bool
-    conflict_poll_interval: int
     solver_backend: str | None
 
 
@@ -115,7 +114,6 @@ def run_attempt(
         first_only=ladder.first_only,
         cancel=cancel,
         deadline=deadline,
-        conflict_poll_interval=ladder.conflict_poll_interval,
     )
     counters["cancelled_legs"] += outcome.cancelled_legs
     counters["skipped_legs"] += outcome.skipped_legs

@@ -353,7 +353,7 @@ def deductive_output_fault_lists(
     whole pattern block propagates in one vectorized pass and only the
     output rows are exploded into sets.  This is the per-observation
     candidate extraction of the diagnosis candidate space
-    (:meth:`repro.diagnosis.core.CandidateSpace.fault_list_candidates`).
+    (:meth:`repro.diagnosis.core.CandidateSpace.observation_candidates`).
     """
     if faults is None:
         faults = full_stuck_at_universe(circuit)

@@ -156,7 +156,7 @@ def test_space_engines_agree(seed):
         for g in space.pool
     }
     for j in range(session.m):
-        assert space.rectifying_gates(j) == space.fault_list_candidates(j)
+        assert space.rectifying_gates(j) == space.observation_candidates(j)
 
 
 def test_space_singletons_match_legacy_checker(double_error_workload):
@@ -185,7 +185,7 @@ def test_cone_conflict_is_sound(double_error_workload):
     space = session.space()
     sat = basic_sat_diagnose(w.faulty, w.tests, k=2)
     for j in range(session.m):
-        cone = space.cone_conflict(j)
+        cone = space.observation_conflict(j)
         for sol in sat.solutions:
             assert sol & cone, (j, sol)
 

@@ -67,7 +67,7 @@ def test_precancelled_race_cancels_every_leg():
 
 
 class _Stop:
-    """should_stop stub: False for ``after`` polls, then always True."""
+    """Budget cancel-hook stub: False for ``after`` polls, then True."""
 
     def __init__(self, after: int = 0) -> None:
         self.calls = 0
@@ -90,7 +90,9 @@ def test_immediate_stop_cancels_before_any_work(strategy, kwargs):
     device = make_device("d0", seed=3)
     session = _session(device)
     stop = _Stop(after=0)
-    result = diagnose(session, strategy=strategy, should_stop=stop, **kwargs)
+    result = diagnose(
+        session, strategy=strategy, budget=Budget(should_stop=stop), **kwargs
+    )
     assert result.extras.get("cancelled") is True
     assert result.solutions == ()
     assert not result.complete
@@ -108,7 +110,7 @@ def test_stop_honored_within_one_check_interval():
     session = _session(device)
     stop = _Stop(after=3)
     result = diagnose(
-        session, strategy="greedy-stochastic", should_stop=stop
+        session, strategy="greedy-stochastic", budget=Budget(should_stop=stop)
     )
     assert result.extras.get("cancelled") is True
     assert stop.calls == stop.after + 1
@@ -178,7 +180,6 @@ def test_cancelled_bsat_leg_stops_within_poll_interval(
             "bsat",
             k=2,
             first_only=False,
-            should_stop=None,
             solver_backend=backend,
             budget=budget,
         )
@@ -186,8 +187,10 @@ def test_cancelled_bsat_leg_stops_within_poll_interval(
         if scratch is not None:
             SAT_BACKENDS.pop(scratch, None)
     assert budget.interrupted and budget.reason == "cancelled"
+    # One stop flag: the budget's reason says why, the extras only that
+    # the rung was stopped.
     assert result.extras.get("cancelled") is True
-    assert result.extras.get("interrupted") is True
+    assert "interrupted" not in result.extras
     assert not result.complete
     # The search ran up to the stop signal...
     assert budget.conflicts >= threshold
@@ -200,7 +203,7 @@ def test_cancelled_greedy_and_ihs_leave_session_reusable():
     session = _session(device)
     for strategy in ("greedy-stochastic", "ihs"):
         cancelled = diagnose(
-            session, strategy=strategy, should_stop=_Stop(after=0)
+            session, strategy=strategy, budget=Budget(should_stop=_Stop())
         )
         assert cancelled.extras.get("cancelled") is True
     full = diagnose(session, strategy="ihs")
@@ -255,7 +258,10 @@ def test_no_singleton_device_falls_through_to_greedy(design, seed):
 def test_single_fix_rung_polls_once_before_the_sweep():
     device = make_device("d0", seed=3)
     stop = _Stop(after=0)
-    result = diagnose(_session(device), strategy="single-fix", should_stop=stop)
+    result = diagnose(
+        _session(device), strategy="single-fix",
+        budget=Budget(should_stop=stop),
+    )
     assert result.extras.get("cancelled") is True
     assert result.solutions == () and not result.complete
     assert stop.calls == 1
@@ -275,12 +281,13 @@ class _CancelAfter(threading.Event):
 
 
 def test_cancel_between_rungs_stops_the_ladder():
-    # The single-fix rung checks the flag twice (its should_stop and its
-    # budget) and finds no singleton; the flag is set by the time the
-    # greedy rung polls, so greedy and bsat count as cancelled.
+    # Every poll site checks the cancel flag once: the single-fix rung
+    # checks it before its sweep and finds no singleton; the flag is set
+    # by the time the greedy rung polls, so greedy and bsat count as
+    # cancelled.
     device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
     outcome = race_device(
-        _session(device), k=device.k, cancel=_CancelAfter(after=2)
+        _session(device), k=device.k, cancel=_CancelAfter(after=1)
     )
     assert outcome.cancelled and outcome.answer is None
     assert outcome.legs["single-fix"]["solutions"] == 0

@@ -165,8 +165,8 @@ def test_hung_attempts_time_out_even_with_degrade():
     assert service.stats()["degraded"] == 0
 
 
-def _wait_for_stop(should_stop) -> None:
-    while not should_stop():
+def _wait_for_stop(budget) -> None:
+    while not budget.poll():
         time.sleep(0.002)
 
 
@@ -186,7 +186,7 @@ def _serve_bsat_into_the_deadline(monkeypatch, **options):
 
     def bsat_waits_for_the_deadline(session, strategy, *args, **kwargs):
         if strategy == "bsat":
-            _wait_for_stop(kwargs["should_stop"])
+            _wait_for_stop(kwargs["budget"])
         return run_leg(session, strategy, *args, **kwargs)
 
     monkeypatch.setattr(race_mod, "run_leg", bsat_waits_for_the_deadline)
@@ -238,9 +238,9 @@ def test_interrupted_complete_rung_resolves_valid_sampled(monkeypatch):
 
     minimize = greedy_mod._minimize
 
-    def climb_then_wait(*args, should_stop=None, **kwargs):
-        minimal = minimize(*args, should_stop=should_stop, **kwargs)
-        _wait_for_stop(should_stop)
+    def climb_then_wait(*args, budget=None, **kwargs):
+        minimal = minimize(*args, budget=budget, **kwargs)
+        _wait_for_stop(budget)
         return minimal
 
     monkeypatch.setattr(greedy_mod, "_minimize", climb_then_wait)
