@@ -32,6 +32,14 @@ sim6669 devices with m = 8 failing tests.  The words must be
 bit-identical and the restricted sweep ≥2× faster over the devices of
 both designs.
 
+A fourth leg times greedy's deep check, the multi-gate consistency
+oracle (:func:`repro.diagnosis.validity.rect_word_by_forcing`: every
+unresolved test packed into one cone-restricted bit-parallel pass),
+against the per-test whole-netlist simulation kept here as the
+reference.  Its candidates are the ones ``greedy-stochastic`` asked the
+oracle about on the same devices, recorded untimed.  The words must be
+bit-identical and the packed oracle ≥3× faster over both designs.
+
 Artifacts: ``benchmarks/out/faultsim_engines.txt`` (human-readable) and
 ``benchmarks/out/faultsim_engines.json`` whose ``gated_ratios`` block is
 diffed against the committed ``BENCH_faultsim.json`` by
@@ -48,8 +56,13 @@ import numpy as np
 from conftest import write_artifact
 
 from repro.circuits import random_circuit
+from repro.diagnosis import DiagnosisSession, diagnose, validity
 from repro.diagnosis.validity import (
+    _counter_words,
     _lanes_to_word,
+    _rectifiable_sat,
+    _SIM_LIMIT,
+    rect_word_by_forcing,
     single_gate_rect_words,
     want_care_lanes,
 )
@@ -68,6 +81,7 @@ from repro.sim import (
     deductive_detected,
     deductive_detected_numpy,
     response,
+    simulate_words,
     stuck_at_response,
 )
 
@@ -98,6 +112,12 @@ SINGLETON_DEVICES = ((1, 0), (2, 1), (1, 2), (2, 3))
 #: ~6x (sim6669); the per-design ratios are drift-gated against
 #: ``BENCH_faultsim.json``.
 MIN_SINGLETON_SPEEDUP = 2.0
+#: Floor on the packed deep-check oracle vs one whole-netlist
+#: simulation per unresolved test, summed over the candidates greedy
+#: checked on the singleton leg's devices of both designs.  It measures
+#: ~7-10x on sim1423 and ~10-17x on sim6669; the per-design ratios are
+#: drift-gated against ``BENCH_faultsim.json``.
+MIN_DEEP_CHECK_SPEEDUP = 3.0
 #: Repetitions per timed engine call; the minimum is kept.  Single cold
 #: calls on shared runners carry page-fault and scheduler noise that
 #: swamps a 2x ratio — the least-contended observation is the stable one.
@@ -177,6 +197,85 @@ def _singleton_sweep_leg():
             "t_full": t_full,
             "t_cone": t_cone,
             "speedup": t_full / max(t_cone, 1e-9),
+        }
+    return legs
+
+
+def _per_test_rect_word(circuit, tests, gates, constrain_all_outputs,
+                        known):
+    """Reference deep check: one whole-netlist simulation per unknown
+    test, every candidate gate forced (SAT above the sim limit)."""
+    n = len(gates)
+    word = known
+    for j, test in enumerate(tests):
+        if (known >> j) & 1:
+            continue
+        if n > _SIM_LIMIT:
+            ok = _rectifiable_sat(circuit, test, gates, constrain_all_outputs)
+        else:
+            n_patterns = 1 << n
+            mask = (1 << n_patterns) - 1
+            values = simulate_words(
+                circuit,
+                {pi: mask if test.vector[pi] else 0 for pi in circuit.inputs},
+                n_patterns,
+                forced_words=dict(zip(gates, _counter_words(n))),
+            )
+            want = mask if test.value else 0
+            ok = (~(values[test.output] ^ want) & mask) != 0
+        if ok:
+            word |= 1 << j
+    return word
+
+
+def _greedy_deep_checks(design):
+    """The oracle calls ``greedy-stochastic`` makes on the singleton
+    leg's devices, as ``(circuit, tests, gates, constrain, known)``."""
+    calls = []
+    packed = validity.rect_word_by_forcing
+
+    def record(circuit, tests, gates, constrain_all_outputs=False, known=0):
+        calls.append(
+            (circuit, tests, tuple(gates), constrain_all_outputs, known)
+        )
+        return packed(circuit, tests, gates, constrain_all_outputs, known)
+
+    validity.rect_word_by_forcing = record
+    try:
+        for p, seed in SINGLETON_DEVICES:
+            w = make_workload(design, p=p, m_max=8, seed=seed)
+            diagnose(
+                DiagnosisSession(w.faulty, w.tests),
+                strategy="greedy-stochastic",
+                max_solutions=1,
+            )
+    finally:
+        validity.rect_word_by_forcing = packed
+    return calls
+
+
+def _deep_check_leg():
+    """Per design: min-of-N times of the packed oracle and the per-test
+    reference over every recorded deep check, after asserting
+    bit-identical words."""
+    legs = {}
+    for design in SINGLETON_DESIGNS:
+        calls = _greedy_deep_checks(design)
+        assert calls, design
+        t_per_test, reference = _best_of(
+            lambda: [_per_test_rect_word(*call) for call in calls]
+        )
+        t_packed, words = _best_of(
+            lambda: [rect_word_by_forcing(*call) for call in calls]
+        )
+        assert words == reference, design
+        legs[design] = {
+            "devices": len(SINGLETON_DEVICES),
+            "checks": len(calls),
+            "max_candidate": max(len(call[2]) for call in calls),
+            "t_per_test": t_per_test,
+            "t_packed": t_packed,
+            "speedup": t_per_test / max(t_packed, 1e-9),
         }
     return legs
 
@@ -278,6 +377,10 @@ def test_record_speedup_artifact(benchmark):
     singleton_speedup = sum(leg["t_full"] for leg in singleton.values()) / max(
         sum(leg["t_cone"] for leg in singleton.values()), 1e-9
     )
+    deep = _deep_check_leg()
+    deep_speedup = sum(leg["t_per_test"] for leg in deep.values()) / max(
+        sum(leg["t_packed"] for leg in deep.values()), 1e-9
+    )
     write_artifact(
         "faultsim_engines.txt",
         "\n".join(
@@ -315,6 +418,18 @@ def test_record_speedup_artifact(benchmark):
                 ),
                 f"speedup cone-restricted vs full: {singleton_speedup:.1f}x "
                 f"(floor {MIN_SINGLETON_SPEEDUP:.1f}x)",
+                "",
+                "deep check: the candidates greedy checked on the same "
+                "devices",
+                *(
+                    f"{design}: {leg['checks']} checks (|C| <= "
+                    f"{leg['max_candidate']}), per-test "
+                    f"{leg['t_per_test'] * 1e3:.1f} ms, packed "
+                    f"{leg['t_packed'] * 1e3:.1f} ms, {leg['speedup']:.1f}x"
+                    for design, leg in deep.items()
+                ),
+                f"speedup packed vs per-test: {deep_speedup:.1f}x "
+                f"(floor {MIN_DEEP_CHECK_SPEEDUP:.1f}x)",
             ]
         ),
     )
@@ -340,6 +455,7 @@ def test_record_speedup_artifact(benchmark):
                     "t_codegen": t_cov_cg,
                 },
                 "singleton_sweep": singleton,
+                "deep_check": deep,
                 "gated_ratios": {
                     "faultsim:deductive_numpy": speedup,
                     "faultsim:codegen_detect": codegen_detect_speedup,
@@ -348,6 +464,11 @@ def test_record_speedup_artifact(benchmark):
                     **{
                         f"faultsim:singleton_cone_{design}": leg["speedup"]
                         for design, leg in singleton.items()
+                    },
+                    "faultsim:deep_check": deep_speedup,
+                    **{
+                        f"faultsim:deep_check_{design}": leg["speedup"]
+                        for design, leg in deep.items()
                     },
                 },
                 "machine": {
@@ -371,4 +492,8 @@ def test_record_speedup_artifact(benchmark):
     assert singleton_speedup >= MIN_SINGLETON_SPEEDUP, (
         f"cone-restricted singleton sweep only {singleton_speedup:.1f}x "
         f"over the full sweep (need >= {MIN_SINGLETON_SPEEDUP}x)"
+    )
+    assert deep_speedup >= MIN_DEEP_CHECK_SPEEDUP, (
+        f"packed deep-check oracle only {deep_speedup:.1f}x over the "
+        f"per-test whole-netlist check (need >= {MIN_DEEP_CHECK_SPEEDUP}x)"
     )

@@ -19,8 +19,12 @@ still cover every observation? — tracked incrementally with per-
 observation cover counts, exactly the "cheap candidate application per
 test-lane" the vectorized substrate was built for.  Candidates whose
 cover check fails may still be consistent through multi-gate effects;
-``deep_check`` escalates those to the session's exact (bit-parallel /
-SAT) oracle.
+``deep_check`` escalates those to the session's exact oracle
+(:func:`~repro.diagnosis.validity.rect_word_by_forcing`): the
+observations the cover words leave open are packed into one
+bit-parallel pass over the fan-in cones of their outputs, with only the
+candidate's gates inside those cones forced (SAT when more than
+``validity._SIM_LIMIT`` of them are).
 
 Every reported candidate is verified consistent — valid corrections in
 the sense of Definition 3 — but unlike BSAT the set of candidates is a

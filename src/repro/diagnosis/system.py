@@ -214,31 +214,25 @@ class CircuitSystem(SystemDescription):
 
     # -- consistency oracle ---------------------------------------------
     def rect_word(self, candidate: frozenset[str]) -> int:
-        from .validity import rectifiable_by_forcing
+        from .validity import rect_word_by_forcing
 
         session = self.session
-        gates = candidate
         word = 0
-        if gates:
+        if candidate:
             singles = session.space().singleton_rect_words()
-            for g in gates:
+            for g in candidate:
                 # A name outside the pool (not a functional gate, e.g. a
                 # primary-input fault site) has no singleton fast path;
                 # the exact check below keeps the forced-value semantics.
                 word |= singles.get(g, 0)
-        if word != session.all_mask:
-            gate_list = tuple(sorted(gates))
-            for j, test in enumerate(session.tests):
-                if (word >> j) & 1:
-                    continue
-                if rectifiable_by_forcing(
-                    session.circuit,
-                    test,
-                    gate_list,
-                    session.constrain_all_outputs,
-                ):
-                    word |= 1 << j
-        return word
+        # The singleton bits are known; one packed pass checks the rest.
+        return rect_word_by_forcing(
+            session.circuit,
+            session.tests,
+            sorted(candidate),
+            session.constrain_all_outputs,
+            known=word,
+        )
 
     def failing_word(self) -> int:
         session = self.session

@@ -6,10 +6,19 @@ the erroneous output.  Because an arbitrary function replacement at a gate
 is — under a fixed input vector — exactly a forced output value, validity
 reduces to a per-test exists-check over ``2^|C|`` forced combinations.
 
-The simulation checker evaluates *all* combinations in a single
-bit-parallel pass (combination ``j`` lives in bit ``j`` of every signal
-word); a SAT fallback covers large corrections.  These checkers are the
-executable form of Lemmas 1-4 and the cross-validation oracle for BSAT.
+One function answers that check for a whole test-set:
+:func:`rect_word_by_forcing`.  Forcing a gate outside the fan-in cones
+of the outputs the tests constrain cannot change those outputs, so only
+the ``n'`` gates of ``C`` inside the cones are forced.  Every test still
+to be checked gets its own block of ``2^n'`` bit-parallel patterns
+(pattern ``block * 2^n' + combination``), and one cone-restricted
+:func:`~repro.sim.parallel.simulate_words` pass evaluates them all; a
+test is rectifiable iff some pattern of its block matches.  A SAT
+fallback, encoding only the constrained cones, covers ``n'`` above
+``_SIM_LIMIT``.  :func:`rectifiable_by_forcing` (one test) and
+:func:`is_valid_correction` (every test) are views of it.  These
+checkers are the executable form of Lemmas 1-4 and the
+cross-validation oracle for BSAT.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from ..testgen.testset import Test, TestSet
 from .base import Correction
 
 __all__ = [
+    "rect_word_by_forcing",
     "rectifiable_by_forcing",
     "is_valid_correction",
     "valid_single_gate_corrections",
@@ -37,8 +47,13 @@ __all__ = [
     "all_valid_corrections",
 ]
 
-#: Above this correction size the 2^|C| bit-parallel check yields to SAT.
+#: Above this many forced gates the 2^n' bit-parallel check yields to SAT.
 _SIM_LIMIT = 14
+
+#: Widest packed word one oracle pass simulates, in patterns: the tests
+#: to check are split into chunks of at most ``_PACK_WIDTH >> n'``.
+_PACK_WIDTH = 1 << 16
+assert _PACK_WIDTH >= 1 << _SIM_LIMIT  # one block always fits
 
 
 def _counter_words(n_gates: int) -> list[int]:
@@ -61,6 +76,121 @@ def _counter_words(n_gates: int) -> list[int]:
     return words
 
 
+def rect_word_by_forcing(
+    circuit: Circuit,
+    tests: Sequence[Test],
+    gates: Iterable[str],
+    constrain_all_outputs: bool = False,
+    known: int = 0,
+) -> int:
+    """Rectification word of ``gates``: bit ``j`` set iff forcing values
+    at ``gates`` can produce the correct response to ``tests[j]``.
+
+    Bits already set in ``known`` are kept and their tests are not
+    checked (a caller's cheaper screen, e.g. the singleton words).  The
+    other tests are *pending*.  Only the gates inside the union of the
+    fan-in cones of the pending tests' observed outputs (every output
+    under ``constrain_all_outputs``) are forced; with ``n'`` of them,
+    each pending test gets its own block of ``2^n'`` patterns in one
+    cone-restricted :func:`~repro.sim.parallel.simulate_words` pass per
+    chunk of tests (``_PACK_WIDTH`` caps the packed width).  A forced
+    primary input overrides the test's vector.  Above ``_SIM_LIMIT``
+    forced gates each pending test is one SAT call instead.
+
+    With ``constrain_all_outputs`` every output must match a pending
+    test's ``expected_outputs`` simultaneously; a pending test without
+    them raises ``ValueError``.  A name that is no signal of the circuit
+    raises :class:`~repro.circuits.netlist.CircuitError`.
+    """
+    gate_list = tuple(dict.fromkeys(gates))
+    for gate in gate_list:
+        circuit.node(gate)
+    pending = [j for j in range(len(tests)) if not (known >> j) & 1]
+    word = known
+    if not pending:
+        return word
+    if constrain_all_outputs:
+        for j in pending:
+            if tests[j].expected_outputs is None:
+                raise ValueError("test lacks expected_outputs")
+        outputs = circuit.outputs
+    else:
+        outputs = tuple(dict.fromkeys(tests[j].output for j in pending))
+    cone = frozenset().union(*map(circuit.fanin_cone, outputs))
+    forced = [gate for gate in gate_list if gate in cone]
+    n = len(forced)
+    if n > _SIM_LIMIT:
+        for j in pending:
+            if _rectifiable_sat(
+                circuit, tests[j], forced, constrain_all_outputs
+            ):
+                word |= 1 << j
+        return word
+    counters = dict(zip(forced, _counter_words(n)))
+    per_chunk = _PACK_WIDTH >> n
+    for start in range(0, len(pending), per_chunk):
+        chunk = [tests[j] for j in pending[start : start + per_chunk]]
+        hits = _packed_matches(
+            circuit, chunk, counters, outputs, cone, constrain_all_outputs
+        )
+        for j, hit in zip(pending[start:], hits):
+            if hit:
+                word |= 1 << j
+    return word
+
+
+def _packed_matches(
+    circuit: Circuit,
+    tests: Sequence[Test],
+    counters: dict[str, int],
+    outputs: Sequence[str],
+    cone: frozenset[str],
+    constrain_all_outputs: bool,
+) -> np.ndarray:
+    """One packed pass over ``tests``: entry ``b`` is True iff some
+    forced combination in block ``b`` (test ``b``) matches its goal.
+    ``counters`` maps each forced gate to its one-block counter word."""
+    block = 1 << len(counters)
+    n_patterns = len(tests) * block
+    fill = (1 << block) - 1
+
+    def spread(bits: Iterable[int]) -> int:
+        # Bit b*block stands for block b; the product fills the block.
+        sparse = 0
+        for b, bit in enumerate(bits):
+            if bit:
+                sparse |= 1 << (b * block)
+        return sparse * fill
+
+    mask = (1 << n_patterns) - 1
+    repeat = mask // fill  # bit b*block set for every block b
+    input_words = {
+        pi: spread(t.vector[pi] for t in tests)
+        for pi in circuit.inputs
+        if pi in cone
+    }
+    forced_words = {g: word * repeat for g, word in counters.items()}
+    values = simulate_words(
+        circuit, input_words, n_patterns,
+        forced_words=forced_words, outputs=outputs,
+    )
+    mismatch = 0
+    for out in outputs:
+        if constrain_all_outputs:
+            want = spread(t.expected_outputs[out] for t in tests)
+            mismatch |= values[out] ^ want
+        else:
+            care = spread(t.output == out for t in tests)
+            want = spread(t.output == out and t.value for t in tests)
+            mismatch |= (values[out] ^ want) & care
+    match = ~mismatch & mask
+    raw = np.frombuffer(
+        match.to_bytes((n_patterns + 7) // 8, "little"), dtype=np.uint8
+    )
+    bits = np.unpackbits(raw, bitorder="little")[:n_patterns]
+    return bits.reshape(len(tests), block).any(axis=1)
+
+
 def rectifiable_by_forcing(
     circuit: Circuit,
     test: Test,
@@ -69,33 +199,15 @@ def rectifiable_by_forcing(
 ) -> bool:
     """Can forcing values at ``gates`` produce the correct response to ``test``?
 
-    Checks all ``2^len(gates)`` combinations in one bit-parallel simulation.
-    With ``constrain_all_outputs`` every output must match the test's
+    The one-test view of :func:`rect_word_by_forcing`: all ``2^n'``
+    combinations of the gates inside the observed cone(s) in one
+    bit-parallel pass (SAT above ``_SIM_LIMIT``).  With
+    ``constrain_all_outputs`` every output must match the test's
     ``expected_outputs`` simultaneously.
     """
-    if not gates:
-        # Empty correction: the implementation itself must already pass.
-        gates = ()
-    n = len(gates)
-    if n > _SIM_LIMIT:
-        return _rectifiable_sat(circuit, test, gates, constrain_all_outputs)
-    n_patterns = 1 << n
-    mask = (1 << n_patterns) - 1
-    input_words = {
-        pi: (mask if test.vector[pi] else 0) for pi in circuit.inputs
-    }
-    forced = dict(zip(gates, _counter_words(n)))
-    values = simulate_words(circuit, input_words, n_patterns, forced_words=forced)
-    if constrain_all_outputs:
-        if test.expected_outputs is None:
-            raise ValueError("test lacks expected_outputs")
-        match = mask
-        for out in circuit.outputs:
-            want = mask if test.expected_outputs[out] else 0
-            match &= ~(values[out] ^ want) & mask
-        return match != 0
-    want = mask if test.value else 0
-    return (~(values[test.output] ^ want) & mask) != 0
+    return bool(
+        rect_word_by_forcing(circuit, (test,), gates, constrain_all_outputs)
+    )
 
 
 def _rectifiable_sat(
@@ -104,28 +216,36 @@ def _rectifiable_sat(
     gates: Sequence[str],
     constrain_all_outputs: bool,
 ) -> bool:
-    """SAT fallback: free the gates' outputs and ask for a correct response."""
+    """SAT fallback: free the gates' values and ask for a correct response.
+
+    Only the fan-in cone of the constrained outputs (the observed one,
+    or every output under ``constrain_all_outputs``) is encoded: nothing
+    outside it can change them.
+    """
+    if constrain_all_outputs:
+        if test.expected_outputs is None:
+            raise ValueError("test lacks expected_outputs")
+        goal = {out: test.expected_outputs[out] for out in circuit.outputs}
+    else:
+        goal = {test.output: test.value}
+    cone = frozenset().union(*map(circuit.fanin_cone, goal))
     gate_set = set(gates)
     cnf = CNF()
     var_of: dict[str, int] = {}
     for name in circuit.topological_order():
+        if name not in cone:
+            continue
         gate = circuit.node(name)
         var = cnf.new_var()
         var_of[name] = var
+        if name in gate_set:
+            continue  # free value (a forced input overrides the vector)
         if gate.is_input:
             cnf.add_clause([var if test.vector[name] else -var])
-        elif name in gate_set:
-            continue  # free output value
         else:
             encode_gate(cnf, gate.gtype, var, [var_of[f] for f in gate.fanins])
-    if constrain_all_outputs:
-        if test.expected_outputs is None:
-            raise ValueError("test lacks expected_outputs")
-        for out in circuit.outputs:
-            want = test.expected_outputs[out]
-            cnf.add_clause([var_of[out] if want else -var_of[out]])
-    else:
-        cnf.add_clause([var_of[test.output] if test.value else -var_of[test.output]])
+    for out, want in goal.items():
+        cnf.add_clause([var_of[out] if want else -var_of[out]])
     return bool(cnf.to_solver().solve())
 
 
@@ -135,14 +255,11 @@ def is_valid_correction(
     gates: Iterable[str],
     constrain_all_outputs: bool = False,
 ) -> bool:
-    """Definition 3: every test is rectifiable by changing ``gates``."""
-    gate_list = tuple(gates)
-    return all(
-        rectifiable_by_forcing(
-            circuit, test, gate_list, constrain_all_outputs
-        )
-        for test in tests
-    )
+    """Definition 3: every test is rectifiable by changing ``gates``
+    (the all-tests view of :func:`rect_word_by_forcing`)."""
+    tests = tuple(tests)
+    word = rect_word_by_forcing(circuit, tests, gates, constrain_all_outputs)
+    return word == (1 << len(tests)) - 1
 
 
 def want_care_lanes(

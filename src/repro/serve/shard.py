@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..diagnosis.core import DiagnosisSession
+from ..sat.budget import Budget
 from .intake import DeviceReport, signature_seed
 from .race import RaceOutcome, race_device
 
@@ -89,7 +90,10 @@ def run_attempt(
 
     A finished ladder's answer is memoized for every later device with
     the same signature; a cancelled one (stopped by ``cancel`` or
-    ``deadline`` before any rung answered) never is.
+    ``deadline`` before any rung answered) never is.  An attempt whose
+    cancel flag or deadline has already fired when its memo lookup
+    misses returns a cancelled outcome at once, with no session built
+    and no rung run.
     """
     counters["processed"] += 1
     artifacts = cache.get(device.design)
@@ -99,6 +103,15 @@ def run_attempt(
     if memo is not None:
         counters["signature_hits"] += 1
         return memo, None
+    # An attempt stopped before it started builds no session: it would
+    # only be thrown away at the ladder's first poll.
+    budget = Budget(should_stop=cancel.is_set, deadline=deadline)
+    if budget.poll():
+        return None, RaceOutcome(
+            timed_out=budget.reason == "deadline",
+            cancelled=True,
+            cancelled_legs=len(ladder.strategies),
+        )
     session = DiagnosisSession(
         artifacts.circuit,
         device.tests,

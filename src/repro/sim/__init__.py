@@ -12,7 +12,12 @@ Engine selection guide
   the ground-truth oracle everything else is tested against.
 * :func:`simulate_words` — bit-parallel over patterns on Python's
   unbounded ints (no 64-pattern limit); best for up to a few hundred
-  patterns on one circuit configuration.
+  patterns on one circuit configuration, or for one wide word whose
+  patterns share that configuration.  ``outputs=`` evaluates only those
+  signals' fan-in cones: the diagnosis consistency oracle
+  (:func:`repro.diagnosis.validity.rect_word_by_forcing`) packs every
+  open test's ``2^n'`` forced combinations into one such word and
+  simulates only the observed cones.
 * :func:`simulate_words_numpy` — uint64-lane vectorization of the same
   idea, for thousands of patterns.
 * :mod:`repro.sim.batchfault` (:func:`fault_signatures_batch`,

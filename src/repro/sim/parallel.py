@@ -96,6 +96,7 @@ def simulate_words(
     input_words: Mapping[str, int],
     n_patterns: int,
     forced_words: Mapping[str, int] | None = None,
+    outputs: Sequence[str] | None = None,
 ) -> dict[str, int]:
     """Bit-parallel simulation with one integer word per signal.
 
@@ -103,12 +104,26 @@ def simulate_words(
     mirroring the ``forced`` parameter of the scalar simulator.  DFFs are
     treated as constant-0 present state; diagnosis always runs on the
     full-scan view where no DFFs remain.
+
+    ``outputs`` restricts the pass to those signals' fan-in cones
+    (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`): only the union
+    of the cones is evaluated, and only those signals' words are
+    returned, in the order given.  Forcing a signal outside the union
+    cannot change them, so every returned word equals the full pass's.
+    An unknown name raises :class:`~repro.circuits.netlist.CircuitError`.
     """
     comp = compile_circuit(circuit)
     mask = (1 << n_patterns) - 1
     forced_words = forced_words or {}
     values: list[int] = [0] * comp.n
-    for name in circuit.inputs:
+    inputs = circuit.inputs
+    eval_order = comp.eval_order
+    if outputs is not None:
+        cone = frozenset().union(*map(circuit.fanin_cone, outputs))
+        names = comp.names
+        inputs = [name for name in inputs if name in cone]
+        eval_order = [idx for idx in eval_order if names[idx] in cone]
+    for name in inputs:
         idx = comp.index[name]
         if name in forced_words:
             values[idx] = forced_words[name] & mask
@@ -119,7 +134,7 @@ def simulate_words(
         for name, val in forced_words.items()
         if not circuit.node(name).is_input
     }
-    for idx in comp.eval_order:
+    for idx in eval_order:
         gtype = comp.gtypes[idx]
         fin = comp.fanins[idx]
         if gtype is GateType.DFF:
@@ -160,6 +175,8 @@ def simulate_words(
         else:  # BUF
             v = values[fin[0]]
         values[idx] = forced_idx.get(idx, v)
+    if outputs is not None:
+        return {name: values[comp.index[name]] for name in outputs}
     return {name: values[comp.index[name]] for name in comp.names}
 
 

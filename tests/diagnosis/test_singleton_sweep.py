@@ -6,6 +6,10 @@ other pool gate the passing-observation word.  Here its words are
 compared bit for bit against two references kept in test code: the
 unrestricted sweep (both stuck-at rows of every pool gate over the whole
 circuit) and the per-gate, per-test :func:`is_valid_correction` oracle.
+The slow tests check that the ladder's answers do not move when the
+restricted sweep, or the packed multi-gate oracle
+(:func:`~repro.diagnosis.validity.rect_word_by_forcing`), is swapped
+for its whole-netlist reference.
 """
 
 import random
@@ -27,6 +31,8 @@ from repro.faults.models import StuckAtFault
 from repro.sim import simulate
 from repro.sim.batchfault import batch_output_lanes
 from repro.testgen.testset import Test, TestSet
+
+from tests.diagnosis.test_packed_oracle import per_test_sim
 
 
 def full_sweep_words(circuit, tests, pool, constrain_all_outputs=False):
@@ -199,3 +205,53 @@ def test_ladder_answers_equal_full_sweep_answers(design, p, monkeypatch):
         validity, "single_gate_rect_words", full_sweep_words
     )
     assert answers() == restricted
+
+
+def per_test_rect_word(circuit, tests, gates, constrain_all_outputs=False,
+                       known=0):
+    """Reference multi-gate oracle: one whole-netlist pass per unknown
+    test with every candidate gate forced (SAT above the sim limit)."""
+    check = (
+        validity._rectifiable_sat
+        if len(gates) > validity._SIM_LIMIT
+        else per_test_sim
+    )
+    word = known
+    for j, test in enumerate(tests):
+        if not (known >> j) & 1 and check(
+            circuit, test, gates, constrain_all_outputs
+        ):
+            word |= 1 << j
+    return word
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("design", ["sim1423", "sim6669"])
+@pytest.mark.parametrize("seed", [2, 4, 6])
+def test_greedy_answers_equal_per_test_oracle_answers(
+    design, seed, monkeypatch
+):
+    """greedy-stochastic gives the same answers on the packed oracle as
+    on the per-test whole-netlist one (every deep check returns the same
+    word, so the climbs draw the same random numbers)."""
+    w = make_workload(design, p=2, m_max=8, seed=seed)
+    checks = []
+    packed = validity.rect_word_by_forcing
+
+    def recording(*args, **kwargs):
+        word = packed(*args, **kwargs)
+        checks.append(word)
+        return word
+
+    def answers():
+        return diagnose(
+            DiagnosisSession(w.faulty, w.tests),
+            strategy="greedy-stochastic",
+            max_solutions=3,
+        ).solutions
+
+    monkeypatch.setattr(validity, "rect_word_by_forcing", recording)
+    new = answers()
+    assert checks, "no deep check ran"
+    monkeypatch.setattr(validity, "rect_word_by_forcing", per_test_rect_word)
+    assert answers() == new
