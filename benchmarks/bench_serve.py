@@ -4,8 +4,9 @@ The PR-7 acceptance bench.  A pinned multi-design device fleet (each
 device = one injected-fault workload's *observed* responses against the
 golden design netlist, with repeated failure signatures mixed in) flows
 through :class:`repro.serve.DiagnosisService` — sharded, per-design
-artifact cache, the min-cardinality strategy ladder (single-fix, then
-greedy, then bsat; first rung with an answer wins) — and through the
+artifact cache, the min-cardinality strategy ladder (greedy, which
+reports its sweep's singleton layer before any climb, then bsat; first
+rung with an answer wins) — and through the
 **single-session sequential baseline**: one fresh session per device,
 every rung of the same ladder run back to back *to completion* (the
 pre-service way of producing every answer, cf. the per-instance races
@@ -26,9 +27,9 @@ Gates (all assert-or-fail):
   the service's per-device answers are bit-identical to the sequential
   reference enumeration;
 * fall-through: on the fleet's devices with no valid single-gate
-  correction the ladder's single-fix rung finds nothing and greedy
-  answers; served closed-loop, the default ladder's per-device p50 on
-  them stays within 1.5x of a greedy-only service's.
+  correction greedy's singleton layer is empty and its climbs answer;
+  served closed-loop, the default ladder's per-device p50 on them stays
+  within 1.5x of a greedy-only service's.
 
 * deadline bound: the tight-deadline leg serves 16 two-error
   sim1423/sim6669 devices with a 30 ms deadline and two attempts on a
@@ -122,8 +123,8 @@ FULL_EXTRA_FLEET = [
 ]
 
 #: (design, workload seed) of two-error devices (p=2, up to 8 failing
-#: tests) that have no valid single-gate correction: the ladder's
-#: single-fix rung finds nothing and greedy answers.  They join the
+#: tests) that have no valid single-gate correction: greedy's singleton
+#: layer is empty and its climbs answer.  They join the
 #: fleet in both modes and carry the fall-through latency gate.
 FALLTHROUGH_DEVICES = [("sim1423", 1), ("sim6669", 4)]
 
@@ -306,9 +307,9 @@ def check_bsat_reference(
 
 
 #: ROADMAP's ladder gate: on fall-through devices the default ladder's
-#: per-device p50 may be at most this multiple of greedy alone (the
-#: single-fix sweep that found nothing is the only extra work, since
-#: greedy reuses its rectification words).
+#: per-device p50 may be at most this multiple of greedy alone (greedy
+#: is the ladder's first rung, so the ladder adds only its own
+#: bookkeeping).
 FALLTHROUGH_GATE_RATIO = 1.5
 
 #: Closed-loop services per device and ladder; a device's latency is
@@ -324,8 +325,8 @@ def run_fallthrough_gate(
     Each device is served alone (one ``run([device])`` per service, one
     shard, warm design cache, emptied signature memo), so its latency
     has no queue wait in it.  Gates (appended to ``failures``): every
-    default-ladder answer comes from the greedy rung (the single-fix
-    rung found nothing), and the ladder's per-device p50 is at most
+    default-ladder answer comes from the greedy rung (its climbs, since
+    the singleton layer is empty), and the ladder's per-device p50 is at most
     :data:`FALLTHROUGH_GATE_RATIO` x the greedy-only service's.
     """
     ladders = {"ladder": DEFAULT_STRATEGIES, "greedy": ("greedy-stochastic",)}

@@ -304,7 +304,14 @@ class Circuit:
 
     @property
     def is_combinational(self) -> bool:
-        return all(g.gtype in COMBINATIONAL_TYPES for g in self._nodes.values())
+        """No DFFs (cached until the next mutation)."""
+        cached = self._cache.get("combinational")
+        if cached is None:
+            cached = all(
+                g.gtype in COMBINATIONAL_TYPES for g in self._nodes.values()
+            )
+            self._cache["combinational"] = cached
+        return cached  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # copying / equality

@@ -158,7 +158,7 @@ _CLI_STRATEGIES = {
 #: Default ladder of the ``serve`` command (mirrors
 #: ``repro.serve.race.DEFAULT_STRATEGIES``; kept literal so the parser
 #: builds without importing the service stack).
-_SERVE_STRATEGIES = ("single-fix", "greedy-stochastic", "bsat")
+_SERVE_STRATEGIES = ("greedy-stochastic", "bsat")
 
 
 def _read_observations(spec: str) -> list[tuple[int, ...]]:
@@ -659,8 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies", default=",".join(_SERVE_STRATEGIES),
         metavar="CSV",
         help="comma-separated ladder of strategies tried in order per "
-        "device, first with an answer wins; any of single-fix, "
-        "greedy-stochastic, ihs, bsat "
+        "device, first with an answer wins; any of "
+        f"{', '.join(_SERVE_STRATEGIES)} "
         f"(default: {','.join(_SERVE_STRATEGIES)})",
     )
     p_serve.add_argument(
@@ -702,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report a plain timeout for a device whose last attempt "
         "ran out of time, instead of the degraded answer its ladder "
         "already held (verified corrections found so far, or the "
-        "single-fix sweep's top-marked gates as guidance)",
+        "finished sweep's top-marked gates as guidance)",
     )
     p_serve.add_argument(
         "--strict", action="store_true",

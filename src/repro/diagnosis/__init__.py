@@ -66,16 +66,15 @@ strategy             wins when                    guarantees
 ===================  ===========================  ==========================
 ``bsim`` / ``cov``   speed matters, guidance      candidates only (may be
                      suffices                     invalid — Lemma 2)
-``single-fix``       single error suspected       valid; size-1 complete
-                     (the serving ladder's first  (= ``bsat`` at ``k=1``)
-                     rung)
+``single-fix``       single error suspected;      valid; size-1 complete
+                     the size-1 reference         (= ``bsat`` at ``k=1``)
 ``bsat`` (+advanced  completeness required,       all corrections with only
 variants)            ``k`` small                  essential candidates
 ``adv-sim`` /        pools already narrow         valid; complete within
 ``inc-sim``                                       the (PT) pool
-``greedy-            first valid answer on        valid (verified); a
-stochastic``         multi-fault instances,       sample, approximately
-                     enumeration too slow         minimal
+``greedy-            first valid answer; the      valid (verified); complete
+stochastic``         serving ladder's first rung  at size 1, then a sample,
+                                                  approximately minimal
 ``ihs``              minimum-cardinality answer   valid; minimum cardinality
                      without full enumeration     within the pool
 ``hsdag``            conflict sets are small /    valid; all subset-minimal

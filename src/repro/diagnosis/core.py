@@ -648,6 +648,11 @@ class CandidateSpace:
             )
         return dict(self._singleton_words)
 
+    @property
+    def swept(self) -> bool:
+        """True once :meth:`singleton_rect_words` has run its sweep."""
+        return self._singleton_words is not None
+
     def singletons(self) -> list[str]:
         """Pool gates that are valid size-1 corrections, pool order."""
         words = self.singleton_rect_words()
@@ -852,27 +857,18 @@ def _single_fix_strategy(
     k: int = 1,
     pool: Sequence[str] | None = None,
     solver_backend: str | None = None,
-    budget=None,
 ) -> SolutionSetResult:
-    """All size-1 corrections via the space's singleton sweep.
+    """All size-1 corrections via the space's singleton sweep: the
+    paper's size-1 reference (equal to ``bsat`` at ``k=1``, and to the
+    singleton layer ``greedy-stochastic`` reports first).
 
     When no observation fails, the empty correction is the only minimal
     one, so the answer is ``[()]`` (what BSAT's cardinality-0 probe
     returns) rather than every pool gate.
 
     ``solver_backend`` is accepted for registry uniformity; the sweep is
-    pure simulation, so it has no effect here.  ``budget``
-    (:class:`repro.sat.budget.Budget`) is polled once, before the sweep
-    (one bounded simulation), so a cancelled run does no work.
+    pure simulation, so it has no effect here.
     """
-    if budget is not None and budget.poll():
-        return SolutionSetResult(
-            approach="single-fix",
-            k=1,
-            solutions=(),
-            complete=False,
-            extras={"cancelled": True},
-        )
     start = time.perf_counter()
     space = session.space(pool)
     if space.nothing_fails():
@@ -888,5 +884,5 @@ def _single_fix_strategy(
         t_build=0.0,
         t_first=t_all,
         t_all=t_all,
-        extras={"pool_size": len(space), "marks": space.marks()},
+        extras={"pool_size": len(space)},
     )

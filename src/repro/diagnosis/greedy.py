@@ -26,10 +26,16 @@ bit-parallel pass over the fan-in cones of their outputs, with only the
 candidate's gates inside those cones forced (SAT when more than
 ``validity._SIM_LIMIT`` of them are).
 
+Before any climb the search reports its *singleton layer*, the gates
+whose word is all-ones.  By the paper's single-error relation these are
+exactly BSAT's size-1 corrections (what ``single-fix`` reports), so the
+sampler is exact at size 1; on a pool with no singleton the climbs run,
+and draw, exactly as without the layer.
+
 Every reported candidate is verified consistent — valid corrections in
-the sense of Definition 3 — but unlike BSAT the set of candidates is a
-sample, not an enumeration, and minimality is with respect to the checks
-performed (subset-minimal under ``deep_check``).
+the sense of Definition 3 — but beyond size 1 the set of candidates is
+a sample, not an enumeration, and minimality is with respect to the
+checks performed (subset-minimal under ``deep_check``).
 """
 
 from __future__ import annotations
@@ -183,11 +189,15 @@ def greedy_stochastic_diagnose(
         Escalate blocked retractions of small candidates to the exact
         consistency oracle (catches multi-gate corrections the cover
         words cannot see).
+    max_solutions:
+        Climb until this many solutions are held (None: every climb).
+        The singleton layer is reported whole, even past it.
     session:
         Reuse a prepared session (shared caches) instead of building one.
     budget:
         :class:`repro.sat.budget.Budget`, the cooperative stop signal
-        (the serving ladder's deadline and cancel flag): polled before
+        (the serving ladder's deadline and cancel flag): polled once
+        before the sweep (a run stopped there does no work), before
         each climb and once per retraction attempt inside a climb (the
         climbs are pure simulation — each retraction is one bounded
         cover-word update, so per-retraction polling bounds the
@@ -198,7 +208,8 @@ def greedy_stochastic_diagnose(
 
     Returns a :class:`SolutionSetResult` (``approach="SAFARI"``); every
     solution is a verified valid correction.  ``complete`` is always
-    False — the search is a sample of the solution space by design.
+    False — beyond size 1 the search is a sample of the solution space
+    by design.
     """
     start = time.perf_counter()
     if session is None:
@@ -208,6 +219,11 @@ def greedy_stochastic_diagnose(
                 "existing session"
             )
         session = DiagnosisSession(circuit, tests)
+    if budget is not None and budget.poll():
+        return SolutionSetResult(
+            approach="SAFARI", k=k or 0, solutions=(), complete=False,
+            extras={"cancelled": True},
+        )
     if seed is None:
         seed = session.seed
     # Per-kind stream offset: 0 for circuits (preserving the historical
@@ -239,6 +255,13 @@ def greedy_stochastic_diagnose(
         solutions.append(frozenset())
         t_first = 0.0
     elif pool_consistent:
+        # The singleton layer, one complete answer at size 1, is
+        # reported whole; ``seen`` keeps the climbs from repeating it.
+        layer = [frozenset((g,)) for g in space.singletons()]
+        seen.update(layer)
+        if layer and (k is None or k >= 1):
+            solutions.extend(layer)
+            t_first = time.perf_counter() - search_start
         for r in range(retries):
             if max_solutions is not None and len(solutions) >= max_solutions:
                 break

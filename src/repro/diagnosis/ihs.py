@@ -101,7 +101,6 @@ def ihs_diagnose(
     max_rounds: int = 10_000,
     session: DiagnosisSession | None = None,
     solver_backend: str | None = None,
-    budget=None,
 ) -> SolutionSetResult:
     """Implicit hitting set search for minimum-cardinality corrections.
 
@@ -118,16 +117,6 @@ def ihs_diagnose(
         candidates of the successful cardinality).
     max_rounds:
         Safety valve on hitting-set/consistency-check iterations.
-    budget:
-        :class:`repro.sat.budget.Budget`, the cooperative stop signal
-        (the serving ladder's deadline and cancel flag): polled once per
-        hitting-set round *and* threaded into the hitting-set solves, so
-        a hard hitting-set query cannot overrun a deadline by more than
-        the budget's conflict-poll interval.  A cancelled run returns
-        the solutions found so far with ``complete=False`` and
-        ``extras["cancelled"]=True``; its scope closes normally and the
-        conflicts it accumulated remain (they are facts about the
-        problem, sound for any later call).
 
     Returns a :class:`SolutionSetResult` (``approach="IHS"``): all
     reported solutions are verified valid corrections of the smallest
@@ -246,29 +235,18 @@ def ihs_diagnose(
     cores = 0
     found_bound: int | None = None
     infeasible = False
-    cancelled = False
     try:
         for bound in range(1, k_max + 1):
-            if found_bound is not None or infeasible or cancelled:
+            if found_bound is not None or infeasible:
                 break
             assumptions = state.totalizer.bound_assumptions(bound) + [act]
             while True:
-                if budget is not None and budget.poll():
-                    complete = False
-                    cancelled = True
-                    break
                 if rounds >= max_rounds:
                     complete = False
                     infeasible = True  # stop escalating the bound too
                     break
                 rounds += 1
-                feasible = hitter.solve(assumptions=assumptions, budget=budget)
-                if feasible is None:
-                    # No conflict limit here: only the budget stops it.
-                    complete = False
-                    cancelled = True
-                    break
-                if not feasible:
+                if not hitter.solve(assumptions=assumptions):
                     break  # no hitting set of this cardinality remains
                 h = tuple(
                     sorted(
@@ -327,7 +305,6 @@ def ihs_diagnose(
             "rounds": rounds,
             "conflicts": len(conflicts),
             "sat_cores": cores,
-            **({"cancelled": True} if cancelled else {}),
         },
     )
 

@@ -2,10 +2,10 @@
 
 The paper's point — pick the right engine per situation — becomes the
 *serving policy* here: every failing device climbs a ladder from the
-cheapest engine to the complete one — the single-fix simulation sweep
-(for a single error exactly BSAT's size-1 corrections), then greedy
-search, then BSAT — and the first rung with a valid answer wins.  The
-service layers:
+cheapest engine to the complete one — greedy search, which first
+reports its simulation sweep's singleton layer (for a single error
+exactly BSAT's size-1 corrections), then BSAT — and the first rung with
+a valid answer wins.  The service layers:
 
 ``intake``
     :class:`DeviceReport` — one failing device (design + observed
@@ -18,7 +18,7 @@ service layers:
     every rung stopped by the device's one
     :class:`~repro.sat.budget.Budget` (deadline and cancel flag); an
     interrupted ladder returns what it already holds (verified
-    corrections so far, else the single-fix sweep's top-marked gates)
+    corrections so far, else the finished sweep's top-marked gates)
     as its degraded answer.
 ``service``
     :class:`DiagnosisService` — the one dispatcher: routing,
@@ -63,7 +63,7 @@ from .journal import (
     signature_key,
 )
 from .procpool import ProcessDiagnosisService
-from .race import DEFAULT_STRATEGIES, RUNGS, RaceOutcome, race_device
+from .race import DEFAULT_STRATEGIES, RaceOutcome, race_device
 from .service import DeviceResult, DiagnosisService
 from .shard import ServiceShard, ShardKilled
 
@@ -85,7 +85,6 @@ __all__ = [
     "JournalCrash",
     "check_invariants",
     "DEFAULT_STRATEGIES",
-    "RUNGS",
     "RaceOutcome",
     "race_device",
     "DeviceResult",

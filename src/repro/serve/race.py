@@ -4,23 +4,25 @@ One device, one :class:`~repro.diagnosis.core.DiagnosisSession`, and a
 *ladder* of strategy rungs run inline on the caller's (shard) thread, in
 order:
 
-``single-fix``
-    One fault-parallel forced-value sweep.  This is the paper's central
-    relation: for a single error, simulation finds exactly BSAT's size-1
-    corrections, so when a valid singleton exists the sweep *is* the
-    complete minimum-cardinality answer.
 ``greedy-stochastic``
-    SAFARI climbs over the same cached singleton rectification words,
-    so a first rung that finds nothing has wasted nothing.  Valid
-    answers, usually of minimum cardinality.
+    One fault-parallel forced-value sweep, then SAFARI climbs over its
+    cached rectification words.  The sweep's all-ones words are the
+    singleton layer, which greedy reports before any climb.  This is the
+    paper's central relation: for a single error, simulation finds
+    exactly BSAT's size-1 corrections, so when a valid singleton exists
+    the layer *is* the complete minimum-cardinality answer and no climb
+    runs.  Otherwise the climbs give valid answers, usually of minimum
+    cardinality.
 ``bsat``
     Incremental auto-``k`` BSAT enumeration: the complete fallback.
 
 The first rung that returns solutions wins and the rungs after it are
 skipped (never started).  Every rung only reports *verified valid*
-corrections, so the winner needs no post-hoc validation.  ``ihs``
-(minimum cardinality without full enumeration) is a legal rung but not
-a default one.
+corrections, so the winner needs no post-hoc validation.  ``single-fix``
+(the size-1 reference) and ``ihs`` (the minimum-cardinality oracle) stay
+registered strategies for the differentials, not rungs: greedy's
+singleton layer already is ``single-fix``, and ``ihs`` never beat greedy
+on a device without one.
 
 Rungs run one after another, not as concurrent threads: under the GIL
 a concurrent heavier rung only slows the one that would have won (a
@@ -45,11 +47,12 @@ attempt is spent.  In order of preference:
     the complete set: validity ``"valid-sampled"``, ``answer`` the
     smallest.
 ``guidance``
-    The :data:`GUIDANCE_TOP` gates with the most marks in the finished
-    ``single-fix`` sweep (BSIM's ``M(g)``: the failing observations one
+    The :data:`GUIDANCE_TOP` gates with the most marks in the session's
+    finished sweep (BSIM's ``M(g)``: the failing observations one
     forced value at the gate fixes).  By Lemma 2 these are hints that
     may not be valid corrections: validity ``"guidance"``, ``answer``
-    None, the gates as singletons in ``solutions``.
+    None, the gates as singletons in ``solutions``.  A sweep the stop
+    came before is never started.
 
 With ``strategies=("bsat",)`` the ladder is one complete enumeration —
 the reference mode whose answers are bit-identical to the sequential
@@ -58,19 +61,16 @@ baseline (used by the parity gate of ``bench_serve.py``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from ..diagnosis.base import Correction, SolutionSetResult
 from ..diagnosis.core import DiagnosisSession, diagnose
 from ..sat.budget import Budget
 
-__all__ = ["RaceOutcome", "race_device", "DEFAULT_STRATEGIES", "RUNGS"]
+__all__ = ["RaceOutcome", "race_device", "DEFAULT_STRATEGIES"]
 
-DEFAULT_STRATEGIES = ("single-fix", "greedy-stochastic", "bsat")
-
-#: Every strategy the ladder can run, in no particular order.
-RUNGS = ("single-fix", "greedy-stochastic", "ihs", "bsat")
+#: The ladder's rungs, in order; a ladder runs any of them.
+DEFAULT_STRATEGIES = ("greedy-stochastic", "bsat")
 
 #: auto-k cap for the BSAT rung when the device carries no ``k`` hint.
 _DEFAULT_K_MAX = 4
@@ -117,10 +117,10 @@ def _pick_answer(
 
 
 def _partial(
-    result: SolutionSetResult, marks: dict[str, int]
+    result: SolutionSetResult, session: DiagnosisSession
 ) -> dict | None:
-    """What a ladder interrupted in ``result``'s rung already holds,
-    after a ``single-fix`` sweep that left ``marks`` (empty: none ran)."""
+    """What a ladder interrupted in ``result``'s rung already holds:
+    its solutions, else the marks of ``session``'s sweep if it finished."""
     if result.solutions:
         answer = _pick_answer(tuple(result.solutions))
         return {
@@ -130,6 +130,10 @@ def _partial(
             "cardinality": len(answer),
             "solutions": tuple(result.solutions),
         }
+    space = session.space()
+    if not space.swept:
+        return None
+    marks = space.marks()
     ranked = sorted(
         (g for g, m in marks.items() if m > 0), key=lambda g: (-marks[g], g)
     )[:GUIDANCE_TOP]
@@ -165,18 +169,12 @@ def run_leg(
     options: dict = {"budget": budget}
     if solver_backend is not None:
         options["solver_backend"] = solver_backend
-    if strategy == "single-fix":
-        return diagnose(session, strategy="single-fix", **options)
     if strategy == "greedy-stochastic":
         if first_only:
             options["max_solutions"] = 1
         return diagnose(
             session, k=None, strategy="greedy-stochastic", **options
         )
-    if strategy == "ihs":
-        if first_only:
-            options["solution_limit"] = 1
-        return diagnose(session, k=k, strategy="ihs", **options)
     if strategy == "bsat":
         if first_only:
             options["solution_limit"] = 1
@@ -188,7 +186,7 @@ def run_leg(
         )
     raise ValueError(
         f"unknown race strategy {strategy!r} (expected one of "
-        f"{', '.join(RUNGS)})"
+        f"{', '.join(DEFAULT_STRATEGIES)})"
     )
 
 
@@ -197,32 +195,22 @@ def race_device(
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
     k: int | None = None,
     first_only: bool = True,
-    cancel: threading.Event | None = None,
-    deadline: float | None = None,
+    budget: Budget | None = None,
     solver_backend: str | None = None,
 ) -> RaceOutcome:
     """Run the ``strategies`` ladder on one prepared session; the first
     rung with solutions wins.
 
-    ``cancel`` is the dispatcher's plug and ``deadline`` a
-    ``time.monotonic()`` timestamp.  Both reach every rung through the
-    device's :class:`~repro.sat.budget.Budget`; once either fires, the
-    running rung stops at its next poll, the rest never start, and the
-    outcome reports ``cancelled=True`` (plus ``timed_out=True`` when the
-    budget's reason is the deadline) and what the ladder already held as
-    ``partial``.
+    ``budget`` is the device's stop signal (the attempt's deadline and
+    the dispatcher's cancel flag), shared by every rung; once it trips,
+    the running rung stops at its next poll, the rest never start, and
+    the outcome reports ``cancelled=True`` (plus ``timed_out=True`` when
+    the budget's reason is the deadline) and what the ladder already
+    held as ``partial``.
     """
     if not strategies:
         raise ValueError("the race needs at least one strategy")
     outcome = RaceOutcome()
-    marks: dict[str, int] = {}
-    budget = None
-    if cancel is not None or deadline is not None:
-        budget = Budget(
-            should_stop=cancel.is_set if cancel is not None else None,
-            deadline=deadline,
-            conflict_poll_interval=CONFLICT_POLL_INTERVAL,
-        )
     for i, name in enumerate(strategies):
         result = run_leg(
             session, name, k, first_only,
@@ -234,7 +222,7 @@ def race_device(
             outcome.cancelled = True
             outcome.cancelled_legs = len(strategies) - i
             outcome.timed_out = budget.reason == "deadline"
-            outcome.partial = _partial(result, marks)
+            outcome.partial = _partial(result, session)
             break
         if result.solutions:
             outcome.winner = name
@@ -242,7 +230,6 @@ def race_device(
             outcome.answer = _pick_answer(outcome.solutions)
             outcome.skipped_legs = len(strategies) - i - 1
             break
-        marks = result.extras.get("marks", marks)
     return outcome
 
 

@@ -24,7 +24,7 @@ only in the executors it builds.  The dispatcher owns:
 * **Degradation**: a device whose last attempt was cancelled resolves
   from what that attempt's ladder already held (its outcome's
   ``partial``, see :mod:`repro.serve.race`): ``status="degraded"`` with
-  the verified corrections found so far or the single-fix sweep's
+  the verified corrections found so far or the finished sweep's
   top-marked gates, stamped with their validity class; ``timeout`` when
   it held nothing.
 * **Durability**: with a :class:`~repro.serve.journal.ResultJournal`
@@ -58,7 +58,7 @@ from .journal import (
     _encode_solutions,
     signature_key,
 )
-from .race import DEFAULT_STRATEGIES, RUNGS, RaceOutcome
+from .race import DEFAULT_STRATEGIES, RaceOutcome
 from .shard import Executor, Ladder, ServiceShard
 
 __all__ = ["DeviceResult", "DiagnosisService"]
@@ -110,7 +110,7 @@ class DeviceResult:
     #: What a ``"degraded"`` result holds: "approximate" (verified
     #: corrections the interrupted ladder found, validity
     #: "valid-sampled") or "guidance" (top-marked gates of the
-    #: single-fix sweep, unverified, validity "guidance") — see
+    #: finished sweep, unverified, validity "guidance") — see
     #: :mod:`repro.serve.race`.
     degraded_rung: str | None = None
     validity: str | None = None
@@ -194,7 +194,7 @@ class DiagnosisService:
     strategies:
         The ladder of rungs tried in order per device, first rung with
         solutions wins (:data:`~repro.serve.race.DEFAULT_STRATEGIES`:
-        single-fix, greedy, bsat; any of :data:`~repro.serve.race.RUNGS`);
+        greedy, then bsat; any of them, in any order);
         ``("bsat",)`` gives the bit-reproducible reference mode.
     policy:
         ``"first"`` — each rung stops at its first valid answer;
@@ -264,10 +264,10 @@ class DiagnosisService:
         if not strategies:
             raise ValueError("at least one strategy is required")
         for name in strategies:
-            if name not in RUNGS:
+            if name not in DEFAULT_STRATEGIES:
                 raise ValueError(
                     f"unknown strategy {name!r} (expected one of "
-                    f"{', '.join(RUNGS)})"
+                    f"{', '.join(DEFAULT_STRATEGIES)})"
                 )
         self.ladder = Ladder(
             strategies=strategies,

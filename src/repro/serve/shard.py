@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 from ..diagnosis.core import DiagnosisSession
 from ..sat.budget import Budget
 from .intake import DeviceReport, signature_seed
-from .race import RaceOutcome, race_device
+from .race import CONFLICT_POLL_INTERVAL, RaceOutcome, race_device
 
 if TYPE_CHECKING:  # pragma: no cover
     from .design import DesignCache
@@ -103,9 +103,14 @@ def run_attempt(
     if memo is not None:
         counters["signature_hits"] += 1
         return memo, None
-    # An attempt stopped before it started builds no session: it would
-    # only be thrown away at the ladder's first poll.
-    budget = Budget(should_stop=cancel.is_set, deadline=deadline)
+    # One budget per attempt, the ladder's stop signal.  An attempt
+    # stopped before it started builds no session: it would only be
+    # thrown away at the ladder's first poll.
+    budget = Budget(
+        should_stop=cancel.is_set,
+        deadline=deadline,
+        conflict_poll_interval=CONFLICT_POLL_INTERVAL,
+    )
     if budget.poll():
         return None, RaceOutcome(
             timed_out=budget.reason == "deadline",
@@ -125,8 +130,7 @@ def run_attempt(
         strategies=ladder.strategies,
         k=device.k,
         first_only=ladder.first_only,
-        cancel=cancel,
-        deadline=deadline,
+        budget=budget,
     )
     counters["cancelled_legs"] += outcome.cancelled_legs
     counters["skipped_legs"] += outcome.skipped_legs

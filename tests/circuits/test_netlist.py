@@ -129,6 +129,16 @@ def test_gate_lists_refresh_on_mutation():
     assert c.num_gates == 3
 
 
+def test_is_combinational_refreshes_on_mutation():
+    c = build_half_adder()
+    assert c.is_combinational
+    assert c._cache["combinational"] is True  # cached
+    c.add_gate("q", GateType.DFF, ["sum"])
+    assert not c.is_combinational
+    c.replace_gate("q", gtype=GateType.BUF)
+    assert c.is_combinational
+
+
 def test_fanin_cone_refreshes_on_mutation():
     c = build_half_adder()
     c.add_input("cin")

@@ -244,10 +244,12 @@ def test_greedy_answers_equal_per_test_oracle_answers(
         return word
 
     def answers():
+        # Three answers past the singleton layer, so the climbs (and
+        # their deep checks) run.
+        session = DiagnosisSession(w.faulty, w.tests)
+        layer = len(session.space().singletons())
         return diagnose(
-            DiagnosisSession(w.faulty, w.tests),
-            strategy="greedy-stochastic",
-            max_solutions=3,
+            session, strategy="greedy-stochastic", max_solutions=layer + 3
         ).solutions
 
     monkeypatch.setattr(validity, "rect_word_by_forcing", recording)

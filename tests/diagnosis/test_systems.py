@@ -154,6 +154,28 @@ def test_spectrum_strategies_agree(spectrum):
     assert set(greedy.solutions) <= set(bsat.solutions)
 
 
+@pytest.mark.parametrize("kind", ["gcnf", "spectrum"])
+def test_greedy_singleton_layer_equals_single_fix(
+    kind, contradiction_gcnf, spectrum
+):
+    # The single-error relation on every system kind: greedy reports
+    # the sweep's singleton layer whole, even past max_solutions.
+    if kind == "gcnf":
+        system = GroupedCNFSystem(contradiction_gcnf, observations=[()])
+    else:
+        system = spectrum
+    single = diagnose(DiagnosisSession(system), strategy="single-fix")
+    assert single.solutions and single.complete
+    full = diagnose(DiagnosisSession(system), strategy="greedy-stochastic")
+    assert {s for s in full.solutions if len(s) == 1} == set(single.solutions)
+    first = diagnose(
+        DiagnosisSession(system), strategy="greedy-stochastic",
+        max_solutions=1,
+    )
+    assert set(first.solutions) == set(single.solutions)
+    assert first.extras["climbs"] == 0
+
+
 def test_gcnf_with_multiple_observations():
     # g1 forces x1; the two observations disagree about x1, so every
     # diagnosis must retract g1; g2 contradicts observation 2 directly.

@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from repro.circuits import library
+from repro.diagnosis import DiagnosisSession, diagnose
 from repro.serve import (
     DEFAULT_STRATEGIES,
     ChaosInjector,
@@ -19,9 +21,10 @@ from repro.serve import (
     ResultJournal,
     check_invariants,
     read_journal,
+    signature_seed,
 )
 
-from tests.serve._devices import make_device, top_marked
+from tests.serve._devices import make_device
 
 
 def _fleet():
@@ -205,23 +208,36 @@ def test_cancel_device_mid_solve_abandons_without_killing_worker():
 
 def test_deadline_exhaustion_degrades_from_the_workers_partial():
     # A device with no single-gate correction on a worker whose design
-    # is warm: the sweep fits inside the deadline, the bsat rung does
-    # not.  The worker's outcome carries the sweep's top-marked gates
-    # and the parent resolves the device with them, as guidance.
-    device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
+    # is warm, under the complete policy: the sweep and the first greedy
+    # climbs fit inside the deadline, all sixteen climbs do not (~0.6 s
+    # on a 2-vCPU host).  The worker's outcome carries the corrections
+    # found so far and the parent resolves the device with them.
+    device = make_device("d0", design="sim6669", seed=4, p=2, m_max=8, k=2)
     with ProcessDiagnosisService(
-        n_workers=1, strategies=("single-fix", "bsat"), timeout=60.0,
-        max_attempts=1,
+        n_workers=1, policy="complete", timeout=60.0, max_attempts=1,
     ) as pool:
-        warm = make_device("warm", design="sim1423", seed=3, p=2, m_max=8)
+        warm = make_device("warm", design="sim6669", seed=3, p=2, m_max=8)
         assert pool.run([warm])[0].status == "ok"
-        pool.timeout = 0.1  # read per dispatch
+        pool.timeout = 0.25  # read per dispatch
         (result,) = pool.run([device])
         stats = pool.stats()
     assert result.status == "degraded", result.error
-    assert (result.degraded_rung, result.validity) == ("guidance", "guidance")
-    assert result.answer is None
-    assert result.solutions == top_marked(device)
+    assert (result.degraded_rung, result.validity) == (
+        "approximate", "valid-sampled"
+    )
+    # The partial is a prefix of the same seeded greedy run, cut short.
+    full = diagnose(
+        DiagnosisSession(
+            library.get_circuit("sim6669"), device.tests,
+            seed=signature_seed(device.signature()),
+        ),
+        strategy="greedy-stochastic",
+    )
+    assert result.solutions
+    assert set(result.solutions) < set(full.solutions)
+    assert result.answer == tuple(
+        sorted(min(result.solutions, key=lambda s: (len(s), sorted(s))))
+    )
     assert "deadline exceeded on worker 0" in result.error
     assert stats["timeouts"] == 1 and stats["late_results_dropped"] == 0
     assert stats["degraded"] == 1 and stats["failures"] == 0

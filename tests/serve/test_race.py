@@ -10,8 +10,13 @@ from repro.diagnosis import DiagnosisSession, diagnose
 from repro.sat.backends import SAT_BACKENDS, register_backend
 from repro.sat.budget import Budget
 from repro.sat.compiled import CompiledSolver
-from repro.serve import DEFAULT_STRATEGIES, race_device, signature_seed
-from repro.serve.race import RUNGS, run_leg
+from repro.serve import (
+    DEFAULT_STRATEGIES,
+    DiagnosisService,
+    race_device,
+    signature_seed,
+)
+from repro.serve.race import run_leg
 
 from tests.serve._devices import make_device, top_marked
 
@@ -58,7 +63,9 @@ def test_precancelled_race_cancels_every_leg():
     device = make_device("d0", seed=3, k=2)
     cancel = threading.Event()
     cancel.set()
-    outcome = race_device(_session(device), k=device.k, cancel=cancel)
+    outcome = race_device(
+        _session(device), k=device.k, budget=Budget(should_stop=cancel.is_set)
+    )
     assert outcome.cancelled
     assert outcome.answer is None and outcome.winner is None
     assert outcome.cancelled_legs == len(DEFAULT_STRATEGIES)
@@ -82,8 +89,8 @@ class _Stop:
     "strategy, kwargs",
     [
         ("greedy-stochastic", {}),
-        ("ihs", {}),
-        ("bsat-auto-k", {"k": 2}),
+        # Keeps the test id it had beside the retired ihs row.
+        pytest.param("bsat-auto-k", {"k": 2}, id="bsat-auto-k-kwargs2"),
     ],
 )
 def test_immediate_stop_cancels_before_any_work(strategy, kwargs):
@@ -125,7 +132,8 @@ def test_cancelled_run_leaves_no_poisoned_session_state():
     cancel = threading.Event()
     cancel.set()
     outcome = race_device(
-        session, strategies=("bsat",), k=device.k, cancel=cancel
+        session, strategies=("bsat",), k=device.k,
+        budget=Budget(should_stop=cancel.is_set),
     )
     assert outcome.cancelled and outcome.answer is None
     full = diagnose(session, k=2, strategy="bsat-auto-k")
@@ -199,25 +207,47 @@ def test_cancelled_bsat_leg_stops_within_poll_interval(
 
 
 def test_cancelled_greedy_and_ihs_leave_session_reusable():
+    # A greedy run stopped mid-climb leaves nothing behind that a later
+    # greedy or ihs run on the same session could trip over.
     device = make_device("d0", seed=3)
     session = _session(device)
+    cancelled = diagnose(
+        session, strategy="greedy-stochastic",
+        budget=Budget(should_stop=_Stop(after=2)),
+    )
+    assert cancelled.extras.get("cancelled") is True
     for strategy in ("greedy-stochastic", "ihs"):
-        cancelled = diagnose(
-            session, strategy=strategy, budget=Budget(should_stop=_Stop())
-        )
-        assert cancelled.extras.get("cancelled") is True
-    full = diagnose(session, strategy="ihs")
-    fresh = diagnose(_session(device), strategy="ihs")
-    assert tuple(full.solutions) == tuple(fresh.solutions)
-    assert full.complete == fresh.complete
+        full = diagnose(session, strategy=strategy)
+        fresh = diagnose(_session(device), strategy=strategy)
+        assert tuple(full.solutions) == tuple(fresh.solutions)
+        assert full.complete == fresh.complete
+
+
+def test_stopped_greedy_polls_once_and_builds_no_words():
+    # Greedy polls once before its sweep: a run stopped there does no
+    # work, so the session's singleton words stay unbuilt.
+    device = make_device("d0", seed=3)
+    session = _session(device)
+    stop = _Stop(after=0)
+    result = diagnose(
+        session, strategy="greedy-stochastic",
+        budget=Budget(should_stop=stop),
+    )
+    assert result.extras.get("cancelled") is True
+    assert result.solutions == () and not result.complete
+    assert stop.calls == 1
+    assert not session.space().swept
 
 
 # ----------------------------------------------------------------------
-# the min-cardinality ladder: single-fix -> greedy -> bsat
+# the min-cardinality ladder: greedy (singleton layer first) -> bsat
 # ----------------------------------------------------------------------
-def test_default_ladder_starts_with_single_fix_and_drops_ihs():
-    assert DEFAULT_STRATEGIES == ("single-fix", "greedy-stochastic", "bsat")
-    assert "ihs" in RUNGS and set(DEFAULT_STRATEGIES) <= set(RUNGS)
+def test_default_ladder_is_greedy_then_bsat():
+    assert DEFAULT_STRATEGIES == ("greedy-stochastic", "bsat")
+    # single-fix and ihs stay registered strategies, not rungs.
+    for name in ("single-fix", "ihs"):
+        with pytest.raises(ValueError, match=f"unknown strategy {name!r}"):
+            DiagnosisService(strategies=(name,))
 
 
 @pytest.mark.parametrize(
@@ -226,8 +256,9 @@ def test_default_ladder_starts_with_single_fix_and_drops_ihs():
 )
 def test_single_fix_win_is_bsat_at_k1(design, seed, n_singletons):
     # The paper's relation: forced-value simulation finds exactly BSAT's
-    # size-1 corrections, so a single-fix win is the complete
-    # minimum-cardinality answer and the later rungs never start.
+    # size-1 corrections.  Greedy reports that singleton layer before
+    # any climb, so on a device with a single fix the ladder's answer is
+    # the complete minimum-cardinality answer and bsat never starts.
     device = make_device("d0", design=design, seed=seed, p=2, m_max=8, k=2)
     single = diagnose(_session(device), strategy="single-fix")
     bsat = diagnose(_session(device), k=1, strategy="bsat")
@@ -235,62 +266,68 @@ def test_single_fix_win_is_bsat_at_k1(design, seed, n_singletons):
     assert len(single.solutions) == n_singletons
     assert set(single.solutions) == set(bsat.solutions)
     outcome = race_device(_session(device), k=device.k)
-    assert outcome.winner == "single-fix"
-    assert outcome.skipped_legs == 2 and outcome.cancelled_legs == 0
+    assert outcome.winner == "greedy-stochastic"
+    assert outcome.skipped_legs == 1 and outcome.cancelled_legs == 0
     assert set(outcome.solutions) == set(bsat.solutions)
+    assert set(outcome.solutions) == set(single.solutions)
     assert len(outcome.answer) == 1
+
+
+#: Greedy's first-answer and full-run solutions on the two pool devices
+#: with no single-gate correction, pinned from before greedy reported a
+#: singleton layer: with no singleton, every climb and draw is unchanged.
+_NO_SINGLETON_GREEDY = {
+    ("sim1423", 1): (
+        [["g230", "g518"]],
+        [["g230", g] for g in ("g271", "g282", "g304", "g318", "g330",
+                               "g424", "g426", "g518", "g547", "g579")],
+    ),
+    ("sim6669", 4): (
+        [["g282", "g45"]],
+        [
+            ["g282", "g45"], ["g282", "g564"], ["g33", "g483"],
+            ["g483", "g575"], ["g634", "g730"], ["g730", "g86"],
+            ["g1067", "g701", "g921"], ["g1132", "g346", "g648"],
+            ["g1154", "g346", "g524"], ["g1154", "g665", "g86"],
+            ["g1154", "g834", "g847"], ["g183", "g575", "g698"],
+            ["g33", "g524", "g698"], ["g346", "g708", "g897"],
+            ["g564", "g642", "g648"], ["g634", "g667", "g698"],
+        ],
+    ),
+}
 
 
 @pytest.mark.parametrize("design, seed", [("sim1423", 1), ("sim6669", 4)])
 def test_no_singleton_device_falls_through_to_greedy(design, seed):
+    # No singleton layer: the answer comes from greedy's climbs.
     device = make_device("d0", design=design, seed=seed, p=2, m_max=8, k=2)
     assert diagnose(_session(device), strategy="single-fix").solutions == ()
     outcome = race_device(_session(device), k=device.k)
     greedy = diagnose(
         _session(device), strategy="greedy-stochastic", max_solutions=1
     )
+    full = diagnose(_session(device), strategy="greedy-stochastic")
+    first_pin, full_pin = _NO_SINGLETON_GREEDY[design, seed]
+    assert [sorted(s) for s in greedy.solutions] == first_pin
+    assert [sorted(s) for s in full.solutions] == full_pin
     assert outcome.winner == "greedy-stochastic"
     assert outcome.skipped_legs == 1
     assert outcome.solutions == tuple(greedy.solutions)
     assert outcome.answer == tuple(sorted(greedy.solutions[0]))
 
 
-def test_single_fix_rung_polls_once_before_the_sweep():
-    device = make_device("d0", seed=3)
-    stop = _Stop(after=0)
-    result = diagnose(
-        _session(device), strategy="single-fix",
-        budget=Budget(should_stop=stop),
-    )
-    assert result.extras.get("cancelled") is True
-    assert result.solutions == () and not result.complete
-    assert stop.calls == 1
-
-
-class _CancelAfter(threading.Event):
-    """A cancel flag that reads set from its ``after + 1``-th check on."""
-
-    def __init__(self, after: int) -> None:
-        super().__init__()
-        self.checks = 0
-        self.after = after
-
-    def is_set(self) -> bool:
-        self.checks += 1
-        return self.checks > self.after or super().is_set()
-
-
 def test_cancel_between_rungs_stops_the_ladder():
-    # Every poll site checks the cancel flag once: the single-fix rung
-    # checks it before its sweep and finds no singleton; the flag is set
-    # by the time the greedy rung polls, so greedy and bsat count as
-    # cancelled.
+    # The stop lands between the greedy rung's sweep and its first
+    # climb: the sweep found no singleton, greedy polls (False) before
+    # the sweep and (True) before the climb, so greedy and bsat count
+    # as cancelled.
     device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
     outcome = race_device(
-        _session(device), k=device.k, cancel=_CancelAfter(after=1)
+        _session(device), k=device.k,
+        budget=Budget(should_stop=_Stop(after=1)),
     )
     assert outcome.cancelled and outcome.answer is None
-    assert outcome.legs["single-fix"]["solutions"] == 0
+    assert outcome.legs["greedy-stochastic"]["solutions"] == 0
     assert outcome.cancelled_legs == 2
     assert not outcome.timed_out
     # The finished sweep's marks are the degraded answer: the top-marked
@@ -307,7 +344,8 @@ def test_cancel_between_rungs_stops_the_ladder():
 def test_past_deadline_ladder_times_out_every_rung():
     device = make_device("d0", seed=3, k=2)
     outcome = race_device(
-        _session(device), k=device.k, deadline=time.monotonic() - 1.0
+        _session(device), k=device.k,
+        budget=Budget(deadline=time.monotonic() - 1.0),
     )
     assert outcome.cancelled and outcome.timed_out
     assert outcome.answer is None
@@ -315,8 +353,10 @@ def test_past_deadline_ladder_times_out_every_rung():
 
 
 def test_rung_error_propagates_like_a_single_leg():
-    # No singleton, so the ladder reaches its second rung, whose error
-    # reaches the shard (which resolves the device as an error).
+    # A rung the ladder does not run -- retired or unknown -- raises, and
+    # the error reaches the shard (which resolves the device as an
+    # error).
     device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8)
-    with pytest.raises(ValueError, match="unknown race strategy"):
-        race_device(_session(device), strategies=("single-fix", "nope"))
+    for name in ("single-fix", "ihs", "nope"):
+        with pytest.raises(ValueError, match="unknown race strategy"):
+            race_device(_session(device), strategies=(name,))

@@ -177,23 +177,22 @@ def _warm_cache(*designs: str) -> DesignCache:
     return cache
 
 
-def _serve_bsat_into_the_deadline(monkeypatch, **options):
+def _serve_climbs_into_the_deadline(monkeypatch, **options):
     # A device with no single-gate correction: each attempt's sweep
-    # finishes, then its bsat rung runs into the attempt's deadline.
-    import repro.serve.race as race_mod
+    # finishes, then its first greedy climb runs into the attempt's
+    # deadline.
+    import repro.diagnosis.greedy as greedy_mod
 
-    run_leg = race_mod.run_leg
+    minimize = greedy_mod._minimize
 
-    def bsat_waits_for_the_deadline(session, strategy, *args, **kwargs):
-        if strategy == "bsat":
-            _wait_for_stop(kwargs["budget"])
-        return run_leg(session, strategy, *args, **kwargs)
+    def wait_then_climb(*args, budget=None, **kwargs):
+        _wait_for_stop(budget)
+        return minimize(*args, budget=budget, **kwargs)
 
-    monkeypatch.setattr(race_mod, "run_leg", bsat_waits_for_the_deadline)
+    monkeypatch.setattr(greedy_mod, "_minimize", wait_then_climb)
     device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
     service = DiagnosisService(
         n_shards=2,
-        strategies=("single-fix", "bsat"),
         timeout=0.3,
         max_attempts=2,
         design_cache=_warm_cache("sim1423"),
@@ -206,7 +205,7 @@ def _serve_bsat_into_the_deadline(monkeypatch, **options):
 def test_deadline_exhaustion_degrades_instead_of_timing_out(monkeypatch):
     # The last attempt's ladder resolves the device from what it already
     # held: the finished sweep's top-marked gates, as guidance.
-    device, service, d0 = _serve_bsat_into_the_deadline(monkeypatch)
+    device, service, d0 = _serve_climbs_into_the_deadline(monkeypatch)
     assert d0.status == "degraded"
     assert (d0.degraded_rung, d0.validity) == ("guidance", "guidance")
     assert d0.answer is None and d0.cardinality is None
@@ -223,7 +222,7 @@ def test_deadline_exhaustion_degrades_instead_of_timing_out(monkeypatch):
 
 
 def test_no_degrade_ignores_the_partial(monkeypatch):
-    _, service, d0 = _serve_bsat_into_the_deadline(
+    _, service, d0 = _serve_climbs_into_the_deadline(
         monkeypatch, degrade=False
     )
     assert d0.status == "timeout" and d0.degraded_rung is None

@@ -511,17 +511,17 @@ def test_serve_default_strategies_mirror_the_service_ladder():
     assert _SERVE_STRATEGIES == DEFAULT_STRATEGIES
 
 
-def test_serve_accepts_ihs_rung(tmp_path, capsys):
+@pytest.mark.parametrize("retired", ["single-fix", "ihs"])
+def test_serve_rejects_retired_rungs(tmp_path, retired):
+    # Greedy reports the sweep's singleton layer, so single-fix and ihs
+    # are registered strategies but no longer ladder rungs.
     stream = tmp_path / "devices.jsonl"
     stream.write_text("\n".join(_serve_device_lines()) + "\n")
-    code, out = run_cli(
-        capsys, "serve", str(stream), "--shards", "1",
-        "--strategies", "single-fix,ihs",
-    )
-    assert code == 0
-    assert all(
-        json.loads(line)["status"] == "ok" for line in out.splitlines()
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", str(stream), "--strategies", retired])
+    message = str(exc.value)
+    assert message.startswith(f"error: unknown strategy {retired!r}")
+    assert "\n" not in message
 
 
 def test_serve_unknown_design_exits_zero_by_default(tmp_path, capsys):
