@@ -978,11 +978,25 @@ def auto_k_sat_diagnose(
     the session's persistent instance, so a later ``bsat`` query reuses
     everything this sweep learned.
 
+    On a ``session`` whose output semantics and tests match, bound 1
+    comes from the session's forced-value sweep instead of the solver
+    (the paper's central relation: one sweep finds exactly BSAT's size-1
+    corrections).  When nothing fails the answer is the empty
+    correction; otherwise a non-empty singleton layer is the complete
+    ``k = 1`` answer, in pool order (every singleton is essential,
+    Lemma 3), cut to the first ``solution_limit`` entries, and no
+    instance is built.  An empty layer proves bound 1 infeasible, so the
+    SAT probes start at bound 2 (and a ``k_max`` or pool below 2 returns
+    the empty complete answer with nothing built).  Without a session,
+    and for ``collect_corrections`` (whose per-test witnesses need a
+    model), every bound, 1 included, is a SAT probe.
+
     ``budget`` (:class:`repro.sat.budget.Budget`) is polled before the
-    instance build and before each bound, threaded into every
-    feasibility probe and handed on to the enumeration
-    (:func:`basic_sat_diagnose`); a stopped run reports
-    ``extras["cancelled"]=True``.
+    sweep, between the sweep and the instance build and before each
+    bound, threaded into every feasibility probe and handed on to the
+    enumeration (:func:`basic_sat_diagnose`); a stopped run reports
+    ``extras["cancelled"]=True``.  ``conflict_limit`` bounds only the
+    SAT search.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -990,28 +1004,67 @@ def auto_k_sat_diagnose(
     constrain_all_outputs = kwargs.pop("constrain_all_outputs", False)
     select_zero_clauses = kwargs.pop("select_zero_clauses", False)
 
-    def cancelled(t_build: float) -> SolutionSetResult:
+    def answer(
+        k: int,
+        solutions: tuple[Correction, ...],
+        complete: bool,
+        t_build: float,
+        extras: dict,
+    ) -> SolutionSetResult:
         return SolutionSetResult(
             approach="BSAT/auto-k",
-            k=k_max,
-            solutions=(),
-            complete=False,
+            k=k,
+            solutions=solutions,
+            complete=complete,
             t_build=t_build,
             t_first=0.0,
             t_all=0.0,
-            extras={"k_found": None, "cancelled": True},
+            extras=extras,
         )
 
-    # Poll before the build: building the instance is the rung's
-    # largest uninterruptible step, so a rung that starts cancelled or
-    # past its deadline must not pay it.
+    def cancelled(t_build: float) -> SolutionSetResult:
+        return answer(
+            k_max, (), False, t_build, {"k_found": None, "cancelled": True}
+        )
+
+    # Poll before the sweep and before the build: building the instance
+    # is the rung's largest uninterruptible step, so a rung that starts
+    # cancelled or past its deadline must not pay it.
     if budget is not None and budget.poll():
         return cancelled(0.0)
-    if (
+    on_session = (
         session is not None
         and session.constrain_all_outputs == constrain_all_outputs
         and session.tests is tests
-    ):
+    )
+    first_bound = 1
+    if on_session and not kwargs.get("collect_corrections"):
+        start = time.perf_counter()
+        space = session.space(suspects)
+        if space.nothing_fails():
+            return answer(
+                1, (frozenset(),), True, time.perf_counter() - start,
+                {"k_found": 1},
+            )
+        layer = tuple(frozenset((g,)) for g in space.singletons())
+        t_sweep = time.perf_counter() - start
+        if layer:
+            limit = kwargs.get("solution_limit")
+            return answer(
+                1,
+                layer if limit is None else layer[:limit],
+                limit is None or len(layer) < limit,
+                t_sweep,
+                {"k_found": 1},
+            )
+        # No valid singleton: the sweep has proved bound 1 infeasible,
+        # and bounds past the pool admit nothing new.
+        if min(k_max, len(space)) < 2:
+            return answer(k_max, (), True, t_sweep, {"k_found": None})
+        first_bound = 2
+        if budget is not None and budget.poll():
+            return cancelled(t_sweep)
+    if on_session:
         instance = session.instance(
             k_max,
             suspects=suspects,
@@ -1036,7 +1089,8 @@ def auto_k_sat_diagnose(
     # Bounds past the pool size admit nothing new (the totalizer is
     # capped there too); bound 1 still runs on an empty pool, where it
     # decides whether the empty correction is consistent.
-    for k in range(1, min(k_max, max(1, len(instance.suspects))) + 1):
+    last_bound = min(k_max, max(1, len(instance.suspects)))
+    for k in range(first_bound, last_bound + 1):
         if budget is not None and budget.poll():
             return cancelled(instance.build_time)
         # No conflict limit on the probe: only the budget stops it.
@@ -1064,16 +1118,7 @@ def auto_k_sat_diagnose(
                 t_all=result.t_all,
                 extras=extras,
             )
-    return SolutionSetResult(
-        approach="BSAT/auto-k",
-        k=k_max,
-        solutions=(),
-        complete=True,
-        t_build=instance.build_time,
-        t_first=0.0,
-        t_all=0.0,
-        extras={"k_found": None},
-    )
+    return answer(k_max, (), True, instance.build_time, {"k_found": None})
 
 
 @register_strategy(

@@ -15,6 +15,10 @@ order:
     cardinality.
 ``bsat``
     Incremental auto-``k`` BSAT enumeration: the complete fallback.
+    It reads bound 1 off the same session's sweep, so a device whose
+    singleton layer is non-empty never builds a SAT instance, and
+    after greedy (whose layer was empty, or it would have won) the
+    SAT probes start at bound 2.
 
 The first rung that returns solutions wins and the rungs after it are
 skipped (never started).  Every rung only reports *verified valid*
@@ -56,7 +60,8 @@ attempt is spent.  In order of preference:
 
 With ``strategies=("bsat",)`` the ladder is one complete enumeration —
 the reference mode whose answers are bit-identical to the sequential
-baseline (used by the parity gate of ``bench_serve.py``).
+baseline (used by the parity gate of ``bench_serve.py``); on a device
+with a valid singleton that enumeration is the sweep's singleton layer.
 """
 
 from __future__ import annotations

@@ -176,14 +176,44 @@ def test_greedy_singleton_layer_equals_single_fix(
     assert first.extras["climbs"] == 0
 
 
-def test_gcnf_with_multiple_observations():
+def _multi_observation_gcnf():
     # g1 forces x1; the two observations disagree about x1, so every
     # diagnosis must retract g1; g2 contradicts observation 2 directly.
     gcnf = GroupedCNF()
     gcnf.add_clause(1, [1])
     gcnf.add_clause(2, [2])
-    system = GroupedCNFSystem(gcnf, observations=[(1,), (-1, -2)])
+    return GroupedCNFSystem(gcnf, observations=[(1,), (-1, -2)])
+
+
+@pytest.mark.parametrize("kind", ["gcnf", "spectrum", "gcnf-no-singleton"])
+def test_auto_k_sweep_equals_sat_on_every_kind(
+    kind, contradiction_gcnf, spectrum
+):
+    # bsat-auto-k reads bound 1 off the session's sweep; the answer is
+    # the SAT enumeration's at the bound it reports.
+    if kind == "gcnf":
+        system = GroupedCNFSystem(contradiction_gcnf, observations=[()])
+    elif kind == "spectrum":
+        system = spectrum
+    else:
+        system = _multi_observation_gcnf()
     session = DiagnosisSession(system)
+    swept = diagnose(session, k=3, strategy="bsat-auto-k")
+    k = swept.extras["k_found"]
+    sat = diagnose(DiagnosisSession(system), k=k, strategy="bsat")
+    assert swept.solutions and swept.complete
+    assert _canon(swept.solutions) == _canon(sat.solutions)
+    # Bound 1 never needs an instance; bound 2 does.
+    assert bool(session._instances) == (k > 1)
+    witnessed = diagnose(
+        DiagnosisSession(system), k=3, strategy="bsat-auto-k",
+        collect_corrections=True,
+    )
+    assert _canon(witnessed.solutions) == _canon(sat.solutions)
+
+
+def test_gcnf_with_multiple_observations():
+    session = DiagnosisSession(_multi_observation_gcnf())
     result = diagnose(session, k=2, strategy="hsdag")
     assert _canon(result.solutions) == [("g1", "g2")]
     assert session.failing_word() == 0b10

@@ -174,8 +174,10 @@ def test_kill_worker_chaos_exactly_once_and_replay(tmp_path):
 
 
 def test_cancel_device_mid_solve_abandons_without_killing_worker():
-    # A complete bsat enumeration long enough (~0.6s) to cancel midway.
-    heavy = make_device("heavy", design="sim6669", seed=5, k=2)
+    # No single-gate correction, so the complete bsat enumeration
+    # reaches the CDCL search at bound 2 (~3 s): long enough to cancel
+    # midway.
+    heavy = make_device("heavy", design="sim6669", seed=4, p=2, m_max=8, k=2)
     quick = make_device("after", design="sim6669", seed=1, k=2)
     with ProcessDiagnosisService(
         n_workers=1, strategies=("bsat",), policy="complete", timeout=60.0,
@@ -246,7 +248,8 @@ def test_deadline_exhaustion_degrades_from_the_workers_partial():
 
 
 def test_deadline_exhaustion_without_degrade_times_out():
-    heavy = make_device("heavy", design="sim6669", seed=5, k=2)
+    # No single-gate correction: the bsat rung needs the CDCL search.
+    heavy = make_device("heavy", design="sim6669", seed=4, p=2, m_max=8, k=2)
     with ProcessDiagnosisService(
         n_workers=1, strategies=("bsat",), policy="complete", timeout=0.05,
         max_attempts=2, degrade=False,

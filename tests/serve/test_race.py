@@ -144,8 +144,8 @@ def test_cancelled_run_leaves_no_poisoned_session_state():
 
 
 # Thresholds are backend-specific because the bound is relative to each
-# solver's own conflict trajectory: the interpreted arena burns ~237
-# conflicts on this workload, the compiled kernels ~20.
+# solver's own conflict trajectory: the interpreted arena burns ~206
+# conflicts on this workload, the compiled kernels ~93.
 _BUDGET_CASES = [
     ("arena", 100, 32),
     ("arena-jit", 8, 4),
@@ -179,7 +179,10 @@ def test_cancelled_bsat_leg_stops_within_poll_interval(
         )
         backend = scratch
     try:
-        device = make_device("d0", design="sim1423", seed=1, k=2)
+        # No single-gate correction: the leg searches at bound 2.
+        device = make_device(
+            "d0", design="sim1423", seed=1, p=2, m_max=8, k=2
+        )
         session = _session(device)
         budget = Budget(conflict_poll_interval=interval)
         budget.should_stop = lambda: budget.conflicts >= threshold

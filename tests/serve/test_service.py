@@ -375,8 +375,10 @@ def test_non_jit_backends_skip_eager_warm_up(monkeypatch):
 
 
 def test_cancel_device_abandons_without_retry_or_degrade():
-    # A complete bsat enumeration long enough (~0.6s) to cancel midway.
-    heavy = make_device("heavy", design="sim6669", seed=5, k=2)
+    # No single-gate correction, so the complete bsat enumeration
+    # reaches the CDCL search at bound 2 (~3 s): long enough to cancel
+    # midway.
+    heavy = make_device("heavy", design="sim6669", seed=4, p=2, m_max=8, k=2)
     service = DiagnosisService(
         n_shards=1,
         strategies=("bsat",),
