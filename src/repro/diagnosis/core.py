@@ -597,13 +597,15 @@ class CandidateSpace:
 
     Two engines compute the same per-gate view of the space:
 
-    * one fault-parallel sweep gives each gate's *rectification word*
-      (forcing a single value at the gate is a stuck-at signature, so
-      candidate ``{g}`` rectifies observation ``j`` iff one of the two
-      forced responses realizes the correct value there).  The sweep
-      evaluates only the fan-in cones of the observed outputs; a pool
-      gate outside all of them gets the passing-observation word, which
-      is exact (:func:`repro.diagnosis.validity.single_gate_rect_words`);
+    * one forced-value sweep gives each gate's *rectification word*
+      (candidate ``{g}`` rectifies observation ``j`` iff one of the two
+      forced responses realizes the correct value there).  Forcing the
+      fault-free value is the fault-free circuit, so only the other
+      one, the gate's *flip*, can rectify a failing observation: the
+      sweep carries one flip row per gate.  It evaluates only the
+      fan-in cones of the observed outputs; a pool gate outside all of
+      them gets the passing-observation word, which is exact
+      (:func:`repro.diagnosis.validity.single_gate_rect_words`);
     * the vectorized deductive engine's fault lists
       (:func:`repro.sim.deductive_numpy.deductive_fault_lists_numpy`)
       give, per observation, the gates whose single stuck-at flips the
@@ -648,6 +650,13 @@ class CandidateSpace:
             )
         return dict(self._singleton_words)
 
+    def _words(self) -> dict[str, int]:
+        """The cached words themselves, for reads that change nothing
+        (the sweep still runs through :meth:`singleton_rect_words`)."""
+        if self._singleton_words is None:
+            self.singleton_rect_words()
+        return self._singleton_words
+
     @property
     def swept(self) -> bool:
         """True once :meth:`singleton_rect_words` has run its sweep."""
@@ -655,7 +664,7 @@ class CandidateSpace:
 
     def singletons(self) -> list[str]:
         """Pool gates that are valid size-1 corrections, pool order."""
-        words = self.singleton_rect_words()
+        words = self._words()
         mask = self.session.all_mask
         return [g for g in self.pool if words[g] == mask]
 
@@ -667,7 +676,7 @@ class CandidateSpace:
         an observation settles the answer from the cached sweep, without
         building the session's lane simulator for the failing word.
         """
-        words = self.singleton_rect_words()
+        words = self._words()
         mask = self.session.all_mask
         if any(words[g] != mask for g in self.pool):
             return False
@@ -677,7 +686,7 @@ class CandidateSpace:
         """Engine-backed per-gate score: how many observations each gate
         can rectify alone (the effect-analysis analogue of BSIM's
         ``M(g)`` mark counts)."""
-        words = self.singleton_rect_words()
+        words = self._words()
         return {g: words[g].bit_count() for g in self.pool}
 
     def rectifying_gates(self, j: int) -> frozenset[str]:
@@ -685,7 +694,7 @@ class CandidateSpace:
         ``j`` — the observation's size-1 minimal correction sets."""
         if not 0 <= j < self.session.m:
             raise IndexError(f"observation index {j} out of range")
-        words = self.singleton_rect_words()
+        words = self._words()
         return frozenset(
             g for g in self.pool if (words[g] >> j) & 1
         )

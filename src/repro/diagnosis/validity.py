@@ -23,17 +23,22 @@ cross-validation oracle for BSAT.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..circuits.netlist import Circuit
-from ..faults.models import StuckAtFault
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_gate
-from ..sim.batchfault import _lane_mask, batch_output_lanes
-from ..sim.parallel import pack_patterns_numpy, simulate_words
+from ..sim.batchfault import (
+    _lane_mask,
+    _layout,
+    _signal_indices,
+    batch_output_lanes,
+)
+from ..sim.compiled import compile_circuit
+from ..sim.parallel import _pack_lanes, simulate_words
 from ..testgen.testset import Test, TestSet
 from .base import Correction
 
@@ -288,25 +293,46 @@ def want_care_lanes(
         # Index every output explicitly so a partial expected_outputs
         # raises KeyError exactly like the per-gate oracle, instead of
         # silently packing the missing outputs as expected-0.
-        want_lanes, lanes = pack_patterns_numpy(
+        want, lanes = _pack_lanes(
             [{o: t.expected_outputs[o] for o in outputs} for t in tests],
             outputs,
         )
         care = np.broadcast_to(
             _lane_mask(m, lanes), (len(outputs), lanes)
         ).copy()
-    else:
-        # Only the test's erroneous output is constrained: bit j of the
-        # care word for output o is set iff test j observes o.
-        want_lanes, lanes = pack_patterns_numpy(
-            [{t.output: t.value} for t in tests], outputs
-        )
-        care_lanes, _ = pack_patterns_numpy(
-            [{t.output: 1} for t in tests], outputs
-        )
-        care = np.stack([care_lanes[out] for out in outputs])
-    want = np.stack([want_lanes[out] for out in outputs])
-    return want, care, lanes
+        return want, care, lanes
+    # Only the test's erroneous output is constrained: bit j of the
+    # care word for output o is set iff test j observes o.  One pass
+    # packs both words.
+    want_words = dict.fromkeys(outputs, 0)
+    care_words = dict.fromkeys(outputs, 0)
+    for j, t in enumerate(tests):
+        if t.output not in care_words:
+            raise ValueError(
+                f"test {j} observes {t.output!r}, which is not one of "
+                f"the packed outputs"
+            )
+        care_words[t.output] |= 1 << j
+        if t.value & 1:
+            want_words[t.output] |= 1 << j
+    lanes = max(1, -(-m // 64))
+    return (
+        _words_to_lanes([want_words[o] for o in outputs], lanes),
+        _words_to_lanes([care_words[o] for o in outputs], lanes),
+        lanes,
+    )
+
+
+def _words_to_lanes(words: Sequence[int], lanes: int) -> np.ndarray:
+    """Unfold python int words into a ``(len(words), lanes)`` uint64
+    array (bit ``j`` of a word is bit ``j % 64`` of lane ``j // 64``)."""
+    nbytes = lanes * 8
+    raw = b"".join(w.to_bytes(nbytes, "little") for w in words)
+    return (
+        np.frombuffer(raw, dtype="<u8")
+        .reshape(len(words), lanes)
+        .astype(np.uint64)
+    )
 
 
 def _lanes_to_word(lanes: np.ndarray, mask: int) -> int:
@@ -317,6 +343,8 @@ def _lanes_to_word(lanes: np.ndarray, mask: int) -> int:
 
 def _rows_to_words(rows: np.ndarray, mask: int) -> list[int]:
     """:func:`_lanes_to_word` for every row of a ``(n, lanes)`` array."""
+    if rows.shape[1] == 1:
+        return [w & mask for w in rows[:, 0].tolist()]
     raw = np.ascontiguousarray(rows).astype("<u8", copy=False).tobytes()
     step = rows.shape[1] * 8
     return [
@@ -334,27 +362,27 @@ def single_gate_rect_words(
     """Per-gate *rectification words* over ``pool``, one engine sweep.
 
     Bit ``j`` of the word for gate ``g`` is set iff some single forced
-    value at ``g`` rectifies test ``j`` (a stuck-at signature realizes
-    the correct response).  Only the outputs the tests constrain matter
-    (every output under ``constrain_all_outputs``), so one fault-parallel
-    sweep (:func:`repro.sim.batchfault.batch_output_lanes` with
-    ``outputs=``) evaluates just ``U``, the union of their fan-in cones,
-    with both stuck-at rows of every pool gate inside ``U``.  Forcing a
-    gate outside ``U`` changes no constrained output, so such a gate
-    rectifies exactly the tests that already pass: its word is read off
-    the same sweep's fault-free row.  Every word is bit-identical to a
-    sweep of the whole circuit with both rows of every pool gate.
+    value at ``g`` rectifies test ``j``.  Only the outputs the tests
+    constrain matter (every output under ``constrain_all_outputs``), so
+    one sweep (:func:`repro.sim.batchfault.batch_output_lanes` with
+    ``outputs=``) evaluates just ``U``, the union of their fan-in cones.
+    Of the two forced values at ``g``, the one equal to the fault-free
+    value reproduces the fault-free circuit: it rectifies exactly the
+    tests that already pass.  So only the other one matters for a
+    failing test, and the sweep carries one *flip* row per pool gate
+    inside ``U`` (``g`` forced to the complement of its fault-free
+    value): ``word(g) = passing | (failing & ~miss(flip row of g))``.
+    Forcing a gate outside ``U`` changes no constrained output, so such
+    a gate's word is the passing word, read off the same sweep's
+    fault-free row.  Every word is bit-identical to a sweep of the whole
+    circuit with both stuck-at rows of every pool gate.
     """
     tests = tests if isinstance(tests, TestSet) else TestSet(tuple(tests))
-    pool = list(pool)
+    pool = list(dict.fromkeys(pool))  # one flip row per gate
     if not len(tests) or not pool:
         return {g: 0 for g in pool}
-    for gate in pool:
-        if gate not in circuit.nodes:
-            raise ValueError(
-                f"fault site {gate!r} is not a signal of "
-                f"circuit {circuit.name!r}"
-            )
+    comp = compile_circuit(circuit)
+    sites = _signal_indices(comp, pool)
     mask = (1 << len(tests)) - 1
     if constrain_all_outputs:
         outputs = circuit.outputs
@@ -364,24 +392,17 @@ def single_gate_rect_words(
     want, care, _ = want_care_lanes(
         circuit, tests, constrain_all_outputs, outputs
     )
-    cone = frozenset().union(*map(circuit.fanin_cone, outputs))
-    swept = [gate for gate in pool if gate in cone]
-    faults = [
-        StuckAtFault(gate, value) for gate in swept for value in (0, 1)
-    ]
-    fault_lanes, good, _ = batch_output_lanes(
-        circuit, faults, tests.vectors(), outputs=outputs
+    in_cone = _layout(comp).cone_mask(outputs)[sites]
+    swept = list(compress(pool, in_cone.tolist()))
+    flip_lanes, good, _ = batch_output_lanes(
+        circuit, (), [t.vector for t in tests], outputs=outputs, flips=swept
     )
     # A set bit marks a test the fault-free circuit fails.
     failing = np.bitwise_or.reduce((good ^ want) & care, axis=0)
     words = dict.fromkeys(pool, mask & ~_lanes_to_word(failing, mask))
-    # One word per (row, lane): a set bit marks a test the forced value
-    # fails to rectify.
-    miss = np.bitwise_or.reduce((fault_lanes ^ want) & care, axis=1)
-    # Candidate {g} fails a test only when *both* forced values miss it.
-    both = _rows_to_words(miss[0::2] & miss[1::2], mask)
-    for gate, fails in zip(swept, both):
-        words[gate] = mask & ~fails
+    # A set bit marks a failing test the gate's flip leaves failing.
+    miss = np.bitwise_or.reduce((flip_lanes ^ want) & care, axis=1)
+    words.update(zip(swept, _rows_to_words(~(miss & failing), mask)))
     return words
 
 

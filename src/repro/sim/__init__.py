@@ -28,7 +28,12 @@ Engine selection guide
   This is the fast path behind ``FaultDictionary``, ``diagnose_stuck_at``
   and the ATPG coverage loop (their ``engine`` / ``sim_engine``
   parameters select it; the serial engines remain the equivalence
-  oracle).
+  oracle).  :func:`batch_output_lanes` also takes *flip* rows
+  (``flips=``): one row per signal, forced to the complement of its
+  fault-free value, which stands for both stuck-at rows wherever only a
+  change can matter.  The diagnosis singleton sweep
+  (:func:`repro.diagnosis.validity.single_gate_rect_words`) sweeps one
+  flip row per pool gate and no stuck-at fault.
 * :func:`deductive_fault_lists` — the classic deductive fault simulator
   (one pass per pattern, all faults at once); pure-Python set propagation,
   kept as the reference the vectorized port's per-signal fault lists are
@@ -52,7 +57,8 @@ Engine selection guide
   663-gate coverage workload ~13× slower than batchfault.  Nor is it the
   singleton candidate screen any more: from 10-gate pools up, one
   :func:`batch_output_lanes` sweep restricted to the observed outputs'
-  fan-in cones (``outputs=``) beats a force/unforce cycle per gate.
+  fan-in cones (``outputs=``), with one flip row per gate, beats a
+  force/unforce cycle per gate.
 * :mod:`repro.sim.codegen` (:func:`compile_kernel`,
   :func:`codegen_detected`, :func:`codegen_fault_coverage`,
   :func:`exact_match_faults_codegen`) — the compiled floor of the

@@ -15,7 +15,10 @@ module batches the *fault* axis on top of the uint64 *pattern* lanes of
 * fault ``k``'s forced value is applied only in row ``k``, at the fault
   site, as the site's value is assigned — exactly where the serial engine
   applies its ``forced`` override, so results are bit-identical (the
-  cross-engine property suite asserts this).
+  cross-engine property suite asserts this);
+* optional *flip* rows follow the fault rows: each forces one signal to
+  the complement of its fault-free value, one row where a stuck-at pair
+  would take two (:func:`batch_output_lanes`).
 
 A full sweep is a handful of vectorized numpy passes instead of one
 Python netlist walk per fault.  On the 600-gate / 1382-fault /
@@ -49,7 +52,7 @@ from ..faults.collapse import full_stuck_at_universe
 from ..faults.models import StuckAtFault
 from .compiled import CompiledCircuit, compile_circuit
 from .deductive import FaultCoverage
-from .parallel import pack_patterns_numpy
+from .parallel import _pack_lanes
 
 __all__ = [
     "fault_signatures_batch",
@@ -118,33 +121,126 @@ _GATE_OPS = {
     GateType.XNOR: (np.bitwise_xor, True),
 }
 
+#: Step kinds of the per-signal op table (:class:`_SweepLayout`).
+_NARY, _COPY, _NOT, _ZERO, _ONE, _SKIP = range(6)
+
+
+def _step(gtype: GateType, fanins: tuple[int, ...]) -> tuple:
+    """One signal's evaluation step ``(kind, op, invert, fanins)``."""
+    op_invert = _GATE_OPS.get(gtype)
+    if op_invert is not None:
+        op, invert = op_invert
+        if len(fanins) == 1:
+            return (_NOT if invert else _COPY, None, False, fanins)
+        return (_NARY, op, invert, fanins)
+    if gtype in (GateType.DFF, GateType.CONST0):
+        return (_ZERO, None, False, fanins)
+    if gtype is GateType.CONST1:
+        return (_ONE, None, False, fanins)
+    if gtype is GateType.NOT:
+        return (_NOT, None, False, fanins)
+    if gtype is GateType.INPUT:
+        return (_SKIP, None, False, fanins)
+    return (_COPY, None, False, fanins)  # BUF
+
+
+class _SweepLayout:
+    """Per-design index tables of :func:`_sweep`, built on first use.
+
+    ``ops[idx]`` is signal ``idx``'s evaluation step, so a sweep hashes
+    no :class:`GateType`.  :meth:`cone_mask` keeps one fan-in cone index
+    array per signal it is asked about, so a cone-restricted sweep
+    builds its cone as a boolean mask.  Both are bounded by the design
+    (one entry per signal), never by the sets of outputs swept.
+    """
+
+    def __init__(self, comp: CompiledCircuit) -> None:
+        self.comp = comp
+        self.ops = tuple(map(_step, comp.gtypes, comp.fanins))
+        self.eval_order = np.asarray(comp.eval_order, dtype=np.intp)
+        self.input_indices = np.asarray(comp.input_indices, dtype=np.intp)
+        self._cones: dict[str, np.ndarray] = {}
+
+    def cone_mask(self, signals: Sequence[str]) -> np.ndarray:
+        """Boolean mask over signal indices of the union of the fan-in
+        cones of ``signals``
+        (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`)."""
+        mask = np.zeros(self.comp.n, dtype=bool)
+        for name in signals:
+            cone = self._cones.get(name)
+            if cone is None:
+                names = self.comp.circuit.fanin_cone(name)
+                cone = np.fromiter(
+                    map(self.comp.index.__getitem__, names),
+                    dtype=np.intp,
+                    count=len(names),
+                )
+                self._cones[name] = cone
+            mask[cone] = True
+        return mask
+
+
+def _layout(comp: CompiledCircuit) -> _SweepLayout:
+    """``comp``'s sweep layout, cached on the circuit with its compiled
+    form (a mutation clears both)."""
+    cache = comp.circuit._cache
+    layout = cache.get("sweep_layout")
+    if not isinstance(layout, _SweepLayout) or layout.comp is not comp:
+        layout = cache["sweep_layout"] = _SweepLayout(comp)
+    return layout
+
+
+def _signal_indices(comp: CompiledCircuit, signals: Sequence[str]) -> list[int]:
+    """Signal index of every name in ``signals``."""
+    try:
+        return list(map(comp.index.__getitem__, signals))
+    except KeyError as exc:
+        raise ValueError(
+            f"fault site {exc.args[0]!r} is not a signal of "
+            f"circuit {comp.circuit.name!r}"
+        ) from None
+
 
 def _sweep(
     comp: CompiledCircuit,
     faults: Sequence[StuckAtFault],
-    input_lanes: Mapping[str, np.ndarray],
+    input_lanes: np.ndarray,
     lanes: int,
-    cone: frozenset[str] | None = None,
+    cone: np.ndarray | None = None,
+    flips: Sequence[int] = (),
 ) -> np.ndarray:
     """One batched netlist pass.
 
+    ``input_lanes`` is the ``(n_inputs, lanes)`` packing of the patterns
+    in circuit input order (:func:`repro.sim.parallel._pack_lanes`).
     Returns a ``(n_signals, rows, lanes)`` uint64 array; row ``k <
-    len(faults)`` has fault ``k`` forced, the final row is fault-free.
+    len(faults)`` has fault ``k`` forced, the next ``len(flips)`` rows
+    are *flip* rows, and the final row is fault-free.  Flip row ``i``
+    forces signal index ``flips[i]`` to the complement of its
+    fault-free value in every pattern (the indices must be distinct).
     All gate evaluations write in place into the one preallocated buffer —
     no per-gate allocation, which keeps the cold-cache sweep as fast as a
-    warm one.  With ``cone`` only those signals are assigned and
-    evaluated (it must be closed under fan-in); the other signals'
-    slices of the buffer stay uninitialised.
+    warm one.  With ``cone`` (a boolean mask over signal indices, closed
+    under fan-in) only those signals are assigned and evaluated; the
+    other signals' slices of the buffer stay uninitialised.
     """
-    rows = len(faults) + 1
-    rows0, rows1 = _fault_rows(comp, faults)
+    n_faults = len(faults)
+    rows = n_faults + len(flips) + 1
+    rows0, rows1 = _fault_rows(comp, faults) if faults else ({}, {})
+    flip_row = dict(zip(flips, range(n_faults, rows - 1)))
+    if len(flip_row) != len(flips):
+        raise ValueError("flip signals must be distinct")
     buf = np.empty((comp.n, rows, lanes), dtype=np.uint64)
-    inputs = comp.circuit.inputs
-    eval_order = comp.eval_order
+    layout = _layout(comp)
+    ops = layout.ops
+    inputs = layout.input_indices
+    eval_order: Sequence[int] = comp.eval_order
     if cone is not None:
-        names = comp.names
-        inputs = [name for name in inputs if name in cone]
-        eval_order = [idx for idx in eval_order if names[idx] in cone]
+        keep = cone[inputs]
+        inputs = inputs[keep]
+        input_lanes = input_lanes[keep]
+        eval_order = layout.eval_order[cone[layout.eval_order]].tolist()
+    buf[inputs] = input_lanes[:, None, :]  # broadcast over the rows
 
     def place(idx: int) -> None:
         r0 = rows0.get(idx)
@@ -154,38 +250,40 @@ def _sweep(
         if r1:
             buf[idx, r1] = _ALL_ONES
 
-    for name in inputs:
-        idx = comp.index[name]
-        buf[idx] = input_lanes[name]  # broadcast over the fault rows
-        place(idx)
+    # Ufunc outputs are passed positionally: an ``out=`` keyword costs
+    # about as much as the evaluation of a few hundred rows.
+    for idx in inputs.tolist():
+        if n_faults:
+            place(idx)
+        row = flip_row.get(idx)
+        if row is not None:
+            np.invert(buf[idx, -1], buf[idx, row])
     for idx in eval_order:
-        gtype = comp.gtypes[idx]
-        fin = comp.fanins[idx]
+        kind, op, invert, fin = ops[idx]
         v = buf[idx]
-        op_invert = _GATE_OPS.get(gtype)
-        if op_invert is not None:
-            op, invert = op_invert
-            if len(fin) == 1:
-                np.copyto(v, buf[fin[0]])
-            else:
-                op(buf[fin[0]], buf[fin[1]], out=v)
-                for f in fin[2:]:
-                    op(v, buf[f], out=v)
+        if kind == _NARY:
+            op(buf[fin[0]], buf[fin[1]], v)
+            for f in fin[2:]:
+                op(v, buf[f], v)
             if invert:
-                np.invert(v, out=v)
-        elif gtype in (GateType.DFF, GateType.CONST0):
-            v[...] = 0
-        elif gtype is GateType.CONST1:
-            v[...] = _ALL_ONES
-        elif gtype is GateType.NOT:
-            np.invert(buf[fin[0]], out=v)
-        elif gtype is GateType.INPUT:
-            # Defensive only: eval_order excludes INPUT nodes (they are
-            # assigned, and fault-forced, in the inputs loop above).
-            continue
-        else:  # BUF
+                np.invert(v, v)
+        elif kind == _COPY:
             np.copyto(v, buf[fin[0]])
-        place(idx)
+        elif kind == _NOT:
+            np.invert(buf[fin[0]], v)
+        elif kind == _ZERO:
+            v[...] = 0
+        elif kind == _ONE:
+            v[...] = _ALL_ONES
+        else:
+            # Defensive only: eval_order excludes INPUT nodes (they are
+            # assigned, and forced, before this loop).
+            continue
+        if n_faults:
+            place(idx)
+        row = flip_row.get(idx)
+        if row is not None:
+            np.invert(v[-1], v[row])
     return buf
 
 
@@ -215,20 +313,31 @@ def batch_output_lanes(
     faults: Sequence[StuckAtFault],
     patterns: Sequence[Mapping[str, int]],
     outputs: Sequence[str] | None = None,
+    flips: Sequence[str] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Low-level batched sweep: output words for all faults at once.
 
     Returns ``(fault_lanes, good_lanes, lane_mask)`` where ``fault_lanes``
-    has shape ``(len(faults), n_outputs, lanes)`` (outputs in circuit
-    output order unless ``outputs`` is given), ``good_lanes`` is the
-    fault-free response ``(n_outputs, lanes)``, and ``lane_mask`` clears
-    the padding bits of the last lane.  Padding bits are *not* pre-masked in the value arrays.
+    has shape ``(len(faults) + len(flips), n_outputs, lanes)`` (outputs
+    in circuit output order unless ``outputs`` is given), ``good_lanes``
+    is the fault-free response ``(n_outputs, lanes)``, and ``lane_mask``
+    clears the padding bits of the last lane.  Padding bits are *not*
+    pre-masked in the value arrays.
+
+    ``flips`` adds one row per named signal after the stuck-at rows: a
+    *flip* row forces the signal to the complement of its fault-free
+    value in every pattern.  Per pattern it equals whichever of the
+    signal's two stuck-at rows differs from the fault-free row, so one
+    flip row stands for both where only a change can matter (the
+    diagnosis singleton sweep,
+    :func:`repro.diagnosis.validity.single_gate_rect_words`).  The
+    signals must be distinct.
 
     ``outputs`` restricts the sweep to those signals' fan-in cones
     (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`): only the
     union of the cones is evaluated, and only those signals are
-    returned, in the order given.  A fault outside the union cannot
-    change them, so its row equals the fault-free row.
+    returned, in the order given.  A fault or flip outside the union
+    cannot change them, so its row equals the fault-free row.
 
     Pattern sets too wide for the ~256 MB sweep-buffer budget are swept in
     lane-aligned blocks and concatenated, so memory stays bounded by the
@@ -237,21 +346,22 @@ def batch_output_lanes(
     if not patterns:
         raise ValueError("need at least one pattern")
     comp = compile_circuit(circuit)
+    flip_indices = _signal_indices(comp, flips)
     if outputs is None:
         cone = None
         output_indices: Sequence[int] = comp.output_indices
     else:
-        cone = frozenset().union(*map(circuit.fanin_cone, outputs))
+        cone = _layout(comp).cone_mask(outputs)
         output_indices = [comp.index[name] for name in outputs]
-    rows = len(faults) + 1
+    rows = len(faults) + len(flip_indices) + 1
     per_lane = comp.n * rows * 8
     block_lanes = max(1, _SWEEP_BUDGET // max(per_lane, 1))
     block = 64 * block_lanes  # lane-aligned: blocks pack without padding
     stacks = []
     for start in range(0, len(patterns), block):
         chunk = patterns[start : start + block]
-        input_lanes, lanes = pack_patterns_numpy(chunk, circuit.inputs)
-        buf = _sweep(comp, faults, input_lanes, lanes, cone)
+        input_lanes, lanes = _pack_lanes(chunk, circuit.inputs)
+        buf = _sweep(comp, faults, input_lanes, lanes, cone, flip_indices)
         stacks.append(_output_stack(buf, output_indices))
     stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=2)
     lanes = stack.shape[2]

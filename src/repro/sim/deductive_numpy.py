@@ -37,7 +37,7 @@ from ..faults.models import StuckAtFault
 from .batchfault import _ALL_ONES, _sweep
 from .compiled import CompiledCircuit, compile_circuit
 from .deductive import FaultCoverage
-from .parallel import pack_patterns_numpy
+from .parallel import _pack_lanes
 
 __all__ = [
     "deductive_fault_lists_numpy",
@@ -91,7 +91,7 @@ def _good_bits(
     comp: CompiledCircuit, patterns: Sequence[Mapping[str, int]]
 ) -> np.ndarray:
     """Fault-free value of every signal: bool matrix ``(n_signals, P)``."""
-    input_lanes, lanes = pack_patterns_numpy(patterns, comp.circuit.inputs)
+    input_lanes, lanes = _pack_lanes(patterns, comp.circuit.inputs)
     buf = _sweep(comp, [], input_lanes, lanes)  # rows == 1: fault-free only
     words = np.ascontiguousarray(buf[:, 0, :])
     bits = np.unpackbits(

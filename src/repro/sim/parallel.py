@@ -68,22 +68,34 @@ def pack_patterns_numpy(
 
     Returns ``(words, lanes)`` where ``words[name]`` is a uint64 array of
     ``lanes`` elements; bit ``b`` of lane ``l`` is the input's value under
-    pattern ``64*l + b``.  Same conventions as :func:`pack_patterns`
-    (which does the packing): missing inputs default to 0, unknown input
-    names raise ``ValueError``.  This is the input format of
+    pattern ``64*l + b``.  Same conventions as :func:`pack_patterns`:
+    missing inputs default to 0, unknown input names raise
+    ``ValueError``.  This is the input format of
     :func:`simulate_words_numpy` and the batched fault engines
     (:mod:`repro.sim.batchfault`, :mod:`repro.sim.batchevent`).
     """
-    n = len(patterns)
-    lanes = max(1, -(-n // 64))
-    nbytes = lanes * 8
-    words = pack_patterns(patterns, inputs)
-    return {
-        name: np.frombuffer(
-            word.to_bytes(nbytes, "little"), dtype="<u8"
-        ).astype(np.uint64)
-        for name, word in words.items()
-    }, lanes
+    rows, lanes = _pack_lanes(patterns, inputs)
+    return dict(zip(inputs, rows)), lanes
+
+
+def _pack_lanes(
+    patterns: Sequence[Mapping[str, int]], inputs: Sequence[str]
+) -> tuple[np.ndarray, int]:
+    """:func:`pack_patterns_numpy` as one ``(len(inputs), lanes)`` uint64
+    array, row ``i`` for ``inputs[i]``: every bit packed by one
+    ``np.packbits`` call, with no per-input array."""
+    lanes = max(1, -(-len(patterns) // 64))
+    known = frozenset(inputs)
+    bits = np.zeros((len(inputs), 64 * lanes), dtype=np.uint8)
+    for j, pattern in enumerate(patterns):
+        if not known.issuperset(pattern):
+            unknown = next(name for name in pattern if name not in known)
+            raise ValueError(f"pattern {j} assigns unknown input {unknown!r}")
+        bits[:, j] = [pattern.get(name, 0) & 1 for name in inputs]
+    # Byte k of a row holds patterns 8k..8k+7, lowest bit first, so
+    # eight consecutive bytes are one little-endian lane.
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False), lanes
 
 
 def unpack_word(word: int, n_patterns: int) -> list[int]:

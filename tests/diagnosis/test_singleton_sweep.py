@@ -257,3 +257,34 @@ def test_greedy_answers_equal_per_test_oracle_answers(
     assert checks, "no deep check ran"
     monkeypatch.setattr(validity, "rect_word_by_forcing", per_test_rect_word)
     assert answers() == new
+
+
+def test_sweep_builds_no_fault_objects_and_one_row_per_swept_gate(
+    monkeypatch,
+):
+    """The session sweep forces each pool gate inside the observed cones
+    through one flip row, and constructs no StuckAtFault."""
+    w = make_workload("sim1423", p=2, m_max=8, seed=3)
+    session = DiagnosisSession(w.faulty, w.tests)
+    pool = session.space().pool
+    observed = {t.output for t in w.tests}
+    cone = frozenset().union(*map(w.faulty.fanin_cone, observed))
+    swept = [g for g in pool if g in cone]
+    assert 0 < len(swept) < len(pool)
+    calls = []
+    sweep = validity.batch_output_lanes
+
+    def recording(circuit, faults, patterns, outputs=None, flips=()):
+        lanes, good, mask = sweep(circuit, faults, patterns, outputs, flips)
+        calls.append((list(faults), list(flips), lanes.shape[0]))
+        return lanes, good, mask
+
+    def no_faults(self):
+        raise AssertionError("the singleton sweep built a StuckAtFault")
+
+    monkeypatch.setattr(validity, "batch_output_lanes", recording)
+    monkeypatch.setattr(StuckAtFault, "__post_init__", no_faults)
+    words = session.space().singleton_rect_words()
+    assert calls == [([], swept, len(swept))]
+    monkeypatch.undo()
+    assert words == full_sweep_words(w.faulty, w.tests, pool)

@@ -257,3 +257,71 @@ def test_output_restricted_sweep_matches_full_sweep(data, draw):
     assert (part == full[:, cols]).all()
     assert (part_good == good[cols]).all()
     assert (part_mask == mask).all()
+
+
+@st.composite
+def flip_cases(draw):
+    """A random circuit, 1-90 patterns (multi-lane from 65) and an
+    optional subset of outputs to restrict the sweep to."""
+    seed = draw(st.integers(0, 10_000))
+    n_outputs = draw(st.integers(1, 4))
+    circuit = random_circuit(
+        n_inputs=draw(st.integers(2, 7)),
+        n_outputs=n_outputs,
+        n_gates=draw(st.integers(n_outputs, 40)),
+        seed=seed,
+    )
+    rng = random.Random(seed)
+    n_patterns = draw(st.sampled_from([1, 17, 64, 65, 90]))
+    patterns = [
+        {pi: rng.getrandbits(1) for pi in circuit.inputs}
+        for _ in range(n_patterns)
+    ]
+    outputs = draw(
+        st.none()
+        | st.lists(st.sampled_from(circuit.outputs), min_size=1, unique=True)
+    )
+    return circuit, patterns, outputs
+
+
+@given(flip_cases())
+@settings(max_examples=40, deadline=None)
+def test_flip_row_equals_the_stuck_at_row_that_changes_something(case):
+    """Lane by lane, a signal's flip row equals whichever of its two
+    stuck-at rows differs from the fault-free row (where neither does,
+    both equal it).  Flip rows follow the stuck-at rows, and a sweep of
+    flips alone returns the same rows."""
+    import numpy as np
+
+    from repro.sim.batchfault import batch_output_lanes
+
+    circuit, patterns, outputs = case
+    signals = list(circuit.nodes)
+    faults = [StuckAtFault(s, v) for s in signals for v in (0, 1)]
+    lanes, good, mask = batch_output_lanes(
+        circuit, faults, patterns, outputs=outputs, flips=signals
+    )
+    n = len(signals)
+    assert lanes.shape[0] == 3 * n
+    sa0, sa1, flip = lanes[0 : 2 * n : 2], lanes[1 : 2 * n : 2], lanes[2 * n :]
+    # One word per (signal, lane): a set bit marks a pattern under which
+    # stuck-at-0 changes some output.
+    changed0 = np.bitwise_or.reduce(sa0 ^ good, axis=1)[:, None, :]
+    expected = (sa0 & changed0) | (sa1 & ~changed0)
+    assert ((flip ^ expected) & mask == 0).all()
+    alone, alone_good, _ = batch_output_lanes(
+        circuit, (), patterns, outputs=outputs, flips=signals
+    )
+    assert (alone == flip).all()
+    assert (alone_good == good).all()
+
+
+def test_flip_signals_must_be_distinct_signals():
+    from repro.sim.batchfault import batch_output_lanes
+
+    maj3 = library.majority()
+    pattern = [{"a": 0, "b": 1, "c": 1}]
+    with pytest.raises(ValueError, match="distinct"):
+        batch_output_lanes(maj3, (), pattern, flips=["ab", "ab"])
+    with pytest.raises(ValueError, match="is not a signal of circuit"):
+        batch_output_lanes(maj3, (), pattern, flips=["no_such_signal"])
