@@ -23,7 +23,7 @@ cross-validation oracle for BSAT.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,13 +31,7 @@ import numpy as np
 from ..circuits.netlist import Circuit
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_gate
-from ..sim.batchfault import (
-    _lane_mask,
-    _layout,
-    _signal_indices,
-    batch_output_lanes,
-)
-from ..sim.compiled import compile_circuit
+from ..sim.batchfault import _lane_mask, batch_output_lanes
 from ..sim.parallel import _pack_lanes, simulate_words
 from ..testgen.testset import Test, TestSet
 from .base import Correction
@@ -300,39 +294,14 @@ def want_care_lanes(
         care = np.broadcast_to(
             _lane_mask(m, lanes), (len(outputs), lanes)
         ).copy()
-        return want, care, lanes
-    # Only the test's erroneous output is constrained: bit j of the
-    # care word for output o is set iff test j observes o.  One pass
-    # packs both words.
-    want_words = dict.fromkeys(outputs, 0)
-    care_words = dict.fromkeys(outputs, 0)
-    for j, t in enumerate(tests):
-        if t.output not in care_words:
-            raise ValueError(
-                f"test {j} observes {t.output!r}, which is not one of "
-                f"the packed outputs"
-            )
-        care_words[t.output] |= 1 << j
-        if t.value & 1:
-            want_words[t.output] |= 1 << j
-    lanes = max(1, -(-m // 64))
-    return (
-        _words_to_lanes([want_words[o] for o in outputs], lanes),
-        _words_to_lanes([care_words[o] for o in outputs], lanes),
-        lanes,
-    )
-
-
-def _words_to_lanes(words: Sequence[int], lanes: int) -> np.ndarray:
-    """Unfold python int words into a ``(len(words), lanes)`` uint64
-    array (bit ``j`` of a word is bit ``j % 64`` of lane ``j // 64``)."""
-    nbytes = lanes * 8
-    raw = b"".join(w.to_bytes(nbytes, "little") for w in words)
-    return (
-        np.frombuffer(raw, dtype="<u8")
-        .reshape(len(words), lanes)
-        .astype(np.uint64)
-    )
+    else:
+        # Only the test's erroneous output is constrained: bit j of the
+        # care word for output o is set iff test j observes o.
+        want, lanes = _pack_lanes(
+            [{t.output: t.value} for t in tests], outputs
+        )
+        care, _ = _pack_lanes([{t.output: 1} for t in tests], outputs)
+    return want, care, lanes
 
 
 def _lanes_to_word(lanes: np.ndarray, mask: int) -> int:
@@ -343,14 +312,12 @@ def _lanes_to_word(lanes: np.ndarray, mask: int) -> int:
 
 def _rows_to_words(rows: np.ndarray, mask: int) -> list[int]:
     """:func:`_lanes_to_word` for every row of a ``(n, lanes)`` array."""
-    if rows.shape[1] == 1:
-        return [w & mask for w in rows[:, 0].tolist()]
-    raw = np.ascontiguousarray(rows).astype("<u8", copy=False).tobytes()
-    step = rows.shape[1] * 8
-    return [
-        int.from_bytes(raw[i : i + step], "little") & mask
-        for i in range(0, len(raw), step)
-    ]
+    # One list of python ints per lane, folded from the top lane down.
+    lanes = rows.T.tolist()
+    words = lanes.pop()
+    while lanes:
+        words = [(w << 64) | low for w, low in zip(words, lanes.pop())]
+    return [w & mask for w in words]
 
 
 def single_gate_rect_words(
@@ -369,20 +336,18 @@ def single_gate_rect_words(
     Of the two forced values at ``g``, the one equal to the fault-free
     value reproduces the fault-free circuit: it rectifies exactly the
     tests that already pass.  So only the other one matters for a
-    failing test, and the sweep carries one *flip* row per pool gate
-    inside ``U`` (``g`` forced to the complement of its fault-free
-    value): ``word(g) = passing | (failing & ~miss(flip row of g))``.
-    Forcing a gate outside ``U`` changes no constrained output, so such
-    a gate's word is the passing word, read off the same sweep's
-    fault-free row.  Every word is bit-identical to a sweep of the whole
-    circuit with both stuck-at rows of every pool gate.
+    failing test, and the sweep asks for one *flip* row per pool gate
+    (``g`` forced to the complement of its fault-free value):
+    ``word(g) = passing | (failing & ~miss(flip row of g))``.  Forcing
+    a gate outside ``U`` changes no constrained output, so the sweep
+    simulates no row for it and returns the fault-free row, and its
+    word is the passing word.  Every word is bit-identical to a sweep
+    of the whole circuit with both stuck-at rows of every pool gate.
     """
     tests = tests if isinstance(tests, TestSet) else TestSet(tuple(tests))
     pool = list(dict.fromkeys(pool))  # one flip row per gate
     if not len(tests) or not pool:
         return {g: 0 for g in pool}
-    comp = compile_circuit(circuit)
-    sites = _signal_indices(comp, pool)
     mask = (1 << len(tests)) - 1
     if constrain_all_outputs:
         outputs = circuit.outputs
@@ -392,18 +357,14 @@ def single_gate_rect_words(
     want, care, _ = want_care_lanes(
         circuit, tests, constrain_all_outputs, outputs
     )
-    in_cone = _layout(comp).cone_mask(outputs)[sites]
-    swept = list(compress(pool, in_cone.tolist()))
     flip_lanes, good, _ = batch_output_lanes(
-        circuit, (), [t.vector for t in tests], outputs=outputs, flips=swept
+        circuit, (), [t.vector for t in tests], outputs=outputs, flips=pool
     )
     # A set bit marks a test the fault-free circuit fails.
     failing = np.bitwise_or.reduce((good ^ want) & care, axis=0)
-    words = dict.fromkeys(pool, mask & ~_lanes_to_word(failing, mask))
     # A set bit marks a failing test the gate's flip leaves failing.
     miss = np.bitwise_or.reduce((flip_lanes ^ want) & care, axis=1)
-    words.update(zip(swept, _rows_to_words(~(miss & failing), mask)))
-    return words
+    return dict(zip(pool, _rows_to_words(~(miss & failing), mask)))
 
 
 def valid_single_gate_corrections(

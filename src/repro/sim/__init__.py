@@ -32,8 +32,9 @@ Engine selection guide
   (``flips=``): one row per signal, forced to the complement of its
   fault-free value, which stands for both stuck-at rows wherever only a
   change can matter.  The diagnosis singleton sweep
-  (:func:`repro.diagnosis.validity.single_gate_rect_words`) sweeps one
-  flip row per pool gate and no stuck-at fault.
+  (:func:`repro.diagnosis.validity.single_gate_rect_words`) asks for
+  one flip row per pool gate and no stuck-at fault; with ``outputs=``
+  only the flips inside those outputs' cones are simulated.
 * :func:`deductive_fault_lists` — the classic deductive fault simulator
   (one pass per pattern, all faults at once); pure-Python set propagation,
   kept as the reference the vectorized port's per-signal fault lists are

@@ -42,6 +42,7 @@ are bit-identical on shared queries (``tests/sim/test_cross_engine.py``).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -228,8 +229,6 @@ def _sweep(
     rows = n_faults + len(flips) + 1
     rows0, rows1 = _fault_rows(comp, faults) if faults else ({}, {})
     flip_row = dict(zip(flips, range(n_faults, rows - 1)))
-    if len(flip_row) != len(flips):
-        raise ValueError("flip signals must be distinct")
     buf = np.empty((comp.n, rows, lanes), dtype=np.uint64)
     layout = _layout(comp)
     ops = layout.ops
@@ -337,7 +336,9 @@ def batch_output_lanes(
     (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`): only the
     union of the cones is evaluated, and only those signals are
     returned, in the order given.  A fault or flip outside the union
-    cannot change them, so its row equals the fault-free row.
+    cannot change them, so its row equals the fault-free row (a flip
+    outside it is not simulated: its row is copied from the fault-free
+    row).
 
     Pattern sets too wide for the ~256 MB sweep-buffer budget are swept in
     lane-aligned blocks and concatenated, so memory stays bounded by the
@@ -347,13 +348,19 @@ def batch_output_lanes(
         raise ValueError("need at least one pattern")
     comp = compile_circuit(circuit)
     flip_indices = _signal_indices(comp, flips)
+    if len(set(flip_indices)) != len(flip_indices):
+        raise ValueError("flip signals must be distinct")
+    n_faults = len(faults)
+    swept = flip_indices
     if outputs is None:
         cone = None
         output_indices: Sequence[int] = comp.output_indices
     else:
         cone = _layout(comp).cone_mask(outputs)
         output_indices = [comp.index[name] for name in outputs]
-    rows = len(faults) + len(flip_indices) + 1
+        inside = cone[flip_indices]
+        swept = list(compress(flip_indices, inside.tolist()))
+    rows = n_faults + len(swept) + 1
     per_lane = comp.n * rows * 8
     block_lanes = max(1, _SWEEP_BUDGET // max(per_lane, 1))
     block = 64 * block_lanes  # lane-aligned: blocks pack without padding
@@ -361,9 +368,15 @@ def batch_output_lanes(
     for start in range(0, len(patterns), block):
         chunk = patterns[start : start + block]
         input_lanes, lanes = _pack_lanes(chunk, circuit.inputs)
-        buf = _sweep(comp, faults, input_lanes, lanes, cone, flip_indices)
+        buf = _sweep(comp, faults, input_lanes, lanes, cone, swept)
         stacks.append(_output_stack(buf, output_indices))
     stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=2)
+    if len(swept) < len(flip_indices):
+        # A flip outside the cone reads the fault-free row (row -1).
+        take = np.full(rows + len(flip_indices) - len(swept), -1, np.intp)
+        take[:n_faults] = np.arange(n_faults)
+        take[n_faults:-1][inside] = np.arange(n_faults, rows - 1)
+        stack = stack[take]
     lanes = stack.shape[2]
     return stack[:-1], stack[-1], _lane_mask(len(patterns), lanes)
 

@@ -42,23 +42,19 @@ def pack_patterns(
     :func:`simulate_words` (``input_words.get(name, 0)``); a pattern
     assigning a name *not* in ``inputs`` raises ``ValueError`` — a
     silently dropped assignment is almost always a typo'd input name.
-    Both behaviours are shared with :func:`pack_patterns_numpy`.
+    Each word is one row of :func:`_pack_lanes` (which also packs
+    :func:`pack_patterns_numpy`) folded into an int.
 
     >>> pack_patterns([{"a": 1}, {"a": 0}, {"a": 1}], ["a"])
     {'a': 5}
     """
-    known = frozenset(inputs)
-    words = {name: 0 for name in inputs}
-    for j, pattern in enumerate(patterns):
-        for name in pattern:
-            if name not in known:
-                raise ValueError(
-                    f"pattern {j} assigns unknown input {name!r}"
-                )
-        for name in inputs:
-            if pattern.get(name, 0) & 1:
-                words[name] |= 1 << j
-    return words
+    rows, lanes = _pack_lanes(patterns, inputs)
+    raw = rows.astype("<u8", copy=False).tobytes()
+    step = 8 * lanes
+    return {
+        name: int.from_bytes(raw[i * step : (i + 1) * step], "little")
+        for i, name in enumerate(inputs)
+    }
 
 
 def pack_patterns_numpy(
@@ -68,10 +64,10 @@ def pack_patterns_numpy(
 
     Returns ``(words, lanes)`` where ``words[name]`` is a uint64 array of
     ``lanes`` elements; bit ``b`` of lane ``l`` is the input's value under
-    pattern ``64*l + b``.  Same conventions as :func:`pack_patterns`:
-    missing inputs default to 0, unknown input names raise
-    ``ValueError``.  This is the input format of
-    :func:`simulate_words_numpy` and the batched fault engines
+    pattern ``64*l + b``.  Same packing as :func:`pack_patterns`
+    (:func:`_pack_lanes` does both): missing inputs default to 0,
+    unknown input names raise ``ValueError``.  This is the input format
+    of :func:`simulate_words_numpy` and the batched fault engines
     (:mod:`repro.sim.batchfault`, :mod:`repro.sim.batchevent`).
     """
     rows, lanes = _pack_lanes(patterns, inputs)

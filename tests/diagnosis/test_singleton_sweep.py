@@ -29,7 +29,9 @@ from repro.diagnosis.validity import (
 from repro.experiments import make_workload
 from repro.faults.models import StuckAtFault
 from repro.sim import simulate
+from repro.sim import batchfault
 from repro.sim.batchfault import batch_output_lanes
+from repro.sim.compiled import compile_circuit
 from repro.testgen.testset import Test, TestSet
 
 from tests.diagnosis.test_packed_oracle import per_test_sim
@@ -262,29 +264,32 @@ def test_greedy_answers_equal_per_test_oracle_answers(
 def test_sweep_builds_no_fault_objects_and_one_row_per_swept_gate(
     monkeypatch,
 ):
-    """The session sweep forces each pool gate inside the observed cones
-    through one flip row, and constructs no StuckAtFault."""
+    """The session sweep simulates one flip row per pool gate inside the
+    observed cones, and no other forced row, and constructs no
+    StuckAtFault."""
     w = make_workload("sim1423", p=2, m_max=8, seed=3)
     session = DiagnosisSession(w.faulty, w.tests)
     pool = session.space().pool
     observed = {t.output for t in w.tests}
     cone = frozenset().union(*map(w.faulty.fanin_cone, observed))
-    swept = [g for g in pool if g in cone]
+    index = compile_circuit(w.faulty).index
+    swept = [index[g] for g in pool if g in cone]
     assert 0 < len(swept) < len(pool)
     calls = []
-    sweep = validity.batch_output_lanes
+    sweep = batchfault._sweep
 
-    def recording(circuit, faults, patterns, outputs=None, flips=()):
-        lanes, good, mask = sweep(circuit, faults, patterns, outputs, flips)
-        calls.append((list(faults), list(flips), lanes.shape[0]))
-        return lanes, good, mask
+    def recording(comp, faults, input_lanes, lanes, cone=None, flips=()):
+        buf = sweep(comp, faults, input_lanes, lanes, cone, flips)
+        calls.append((list(faults), list(flips), buf.shape[1]))
+        return buf
 
     def no_faults(self):
         raise AssertionError("the singleton sweep built a StuckAtFault")
 
-    monkeypatch.setattr(validity, "batch_output_lanes", recording)
+    monkeypatch.setattr(batchfault, "_sweep", recording)
     monkeypatch.setattr(StuckAtFault, "__post_init__", no_faults)
     words = session.space().singleton_rect_words()
-    assert calls == [([], swept, len(swept))]
+    # One row per swept gate plus the fault-free row.
+    assert calls == [([], swept, len(swept) + 1)]
     monkeypatch.undo()
     assert words == full_sweep_words(w.faulty, w.tests, pool)
