@@ -27,6 +27,7 @@ All parsing raises :class:`ValueError` naming the offending field
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -40,13 +41,22 @@ __all__ = [
     "parse_device",
     "parse_device_line",
     "read_device_stream",
+    "signature_key",
     "signature_seed",
 ]
 
 
 @dataclass(frozen=True)
 class DeviceReport:
-    """One failing device: identity, design, observed failing tests."""
+    """One failing device: identity, design, observed failing tests.
+
+    The failure signature and the two values derived from it — the
+    journal key (:func:`signature_key`) and the session seed
+    (:func:`signature_seed`) — are computed on first use and cached on
+    the report, the key and the seed from one canonical encode of the
+    signature, so the serving layers that ask for them again (admission,
+    resolution, resume, the attempt's session) pay nothing more.
+    """
 
     device_id: str
     design: str
@@ -54,6 +64,7 @@ class DeviceReport:
     #: Error-cardinality bound for the enumeration rungs (None: auto-k).
     k: int | None = None
     _signature: tuple = field(default=None, compare=False, repr=False)
+    _digests: tuple = field(default=None, compare=False, repr=False)
 
     def signature(self) -> tuple:
         """Canonical failure signature.
@@ -81,15 +92,53 @@ class DeviceReport:
             object.__setattr__(self, "_signature", sig)
         return sig
 
+    def journal_key(self) -> str:
+        """``signature_key(self.signature())``, computed once."""
+        return self._derived()[0]
+
+    def session_seed(self) -> int:
+        """``signature_seed(self.signature())``, computed once."""
+        return self._derived()[1]
+
+    def _derived(self) -> tuple[str, int]:
+        digests = self._digests
+        if digests is None:
+            digests = _signature_digests(self.signature())
+            object.__setattr__(self, "_digests", digests)
+        return digests
+
+
+def _signature_digests(signature: tuple) -> tuple[str, int]:
+    """``(journal key, session seed)`` of one failure signature.
+
+    The one place the signature is encoded: its ``repr``, UTF-8 encoded
+    once, hashed by SHA-256 (the key) and CRC32 (the seed).
+    """
+    data = repr(signature).encode("utf-8")
+    return hashlib.sha256(data).hexdigest(), zlib.crc32(data) & 0x7FFFFFFF
+
+
+def signature_key(signature: tuple) -> str:
+    """Stable hex key for one failure signature: the journal's key.
+
+    SHA-256 of the signature's ``repr`` — the same canonical form
+    :func:`signature_seed` hashes, so equal signatures (and only those)
+    collide across processes and runs.  :meth:`DeviceReport.journal_key`
+    caches it per report.
+    """
+    return _signature_digests(signature)[0]
+
 
 def signature_seed(signature: tuple) -> int:
     """Deterministic session seed for one failure signature.
 
     Derived from the signature (not the device id) so that every device
     carrying the same signature — and the sequential baseline replaying
-    it — draws the identical stochastic-search stream.
+    it — draws the identical stochastic-search stream: CRC32 of the
+    signature's ``repr``, masked to 31 bits.
+    :meth:`DeviceReport.session_seed` caches it per report.
     """
-    return zlib.crc32(repr(signature).encode("utf-8")) & 0x7FFFFFFF
+    return _signature_digests(signature)[1]
 
 
 def device_to_wire(device: DeviceReport) -> dict:
@@ -125,6 +174,11 @@ def _require(data: Mapping, key: str, where: str):
         raise ValueError(f"{where} is missing the {key!r} field") from None
 
 
+_STR = {str}
+_INT = {int}
+_BITS = {0, 1}
+
+
 def _bit(value, where: str) -> int:
     if not isinstance(value, bool) and value not in (0, 1):
         raise ValueError(f"{where} must be 0/1 or a boolean, got {value!r}")
@@ -148,13 +202,24 @@ def _parse_test(
             raise ValueError(
                 f"{where}.vector must map input names to 0/1"
             )
-        vector = {}
-        for name, bit in raw.items():
-            if not isinstance(name, str):
-                raise ValueError(
-                    f"{where}.vector keys must be input names (strings)"
-                )
-            vector[name] = _bit(bit, f"{where}.vector[{name!r}]")
+        values = raw.values()
+        if (
+            set(map(type, raw)) <= _STR
+            and set(map(type, values)) <= _INT
+            and set(values) <= _BITS
+        ):
+            # Every key a str, every value the int 0 or 1: the vector
+            # is valid as it is (Test copies it).
+            vector = raw
+        else:
+            # The per-bit check, which names the first offending entry.
+            vector = {}
+            for name, bit in raw.items():
+                if not isinstance(name, str):
+                    raise ValueError(
+                        f"{where}.vector keys must be input names (strings)"
+                    )
+                vector[name] = _bit(bit, f"{where}.vector[{name!r}]")
     elif "bits" in data:
         bits = data["bits"]
         if not isinstance(bits, str) or set(bits) - {"0", "1"}:

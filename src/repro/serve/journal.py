@@ -47,7 +47,6 @@ commit boundary.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -55,6 +54,8 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
+
+from .intake import signature_key
 
 __all__ = [
     "JournalReplay",
@@ -74,16 +75,6 @@ RESOLVED_FIELDS = (
     "id", "design", "status", "answer", "cardinality", "solutions",
     "winner", "degraded_rung", "validity", "error",
 )
-
-
-def signature_key(signature: tuple) -> str:
-    """Stable hex key for one failure signature.
-
-    SHA-256 of the signature's ``repr`` — the same canonical form
-    :func:`~repro.serve.intake.signature_seed` hashes, so equal
-    signatures (and only those) collide across processes and runs.
-    """
-    return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()
 
 
 def _payload_crc(record: dict) -> int:

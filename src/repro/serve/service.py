@@ -56,7 +56,6 @@ from .journal import (
     ResultJournal,
     _decode_solutions,
     _encode_solutions,
-    signature_key,
 )
 from .race import DEFAULT_STRATEGIES, RaceOutcome
 from .shard import Executor, Ladder, ServiceShard
@@ -176,6 +175,9 @@ class _Attempt:
 class _DeviceState:
     device: DeviceReport
     order: int
+    #: The device's journal key, found at admission when the service
+    #: journals or resumes (None otherwise).
+    key: str | None = None
     submitted_at: float = 0.0
     attempts: int = 0
     resolved: bool = False
@@ -288,6 +290,10 @@ class DiagnosisService:
         self._keys = itertools.count()
         self._inflight: set[_Attempt] = set()
         self._states: dict[str, _DeviceState] = {}
+        #: Failure signature -> journal key, for one ``run()``: each
+        #: unique signature is encoded once per run, its duplicates
+        #: cost a hash and an equality check.
+        self._run_keys: dict[tuple, str] = {}
         self._resolved_count = 0
         self._all_done = threading.Event()
         self._stopping = threading.Event()
@@ -347,17 +353,18 @@ class DiagnosisService:
                 daemon=True,
             )
             watchdog.start()
+        keyed = self.journal is not None or self.resume_from is not None
         try:
             for device in device_list:
                 state = self._states[device.device_id]
                 state.submitted_at = time.monotonic()
+                if keyed:
+                    state.key = self._journal_key(device)
                 if self._replay_from_journal(state):
                     continue
                 if self.journal is not None:
                     self.journal.accepted(
-                        device.device_id,
-                        device.design,
-                        signature_key(device.signature()),
+                        device.device_id, device.design, state.key
                     )
                 try:
                     self._dispatch(state, block=True)
@@ -380,6 +387,7 @@ class DiagnosisService:
         results = [s.result for s in ordered]
         with self._lock:
             self._states.clear()
+            self._run_keys.clear()
             self._inflight.clear()
             self._resolved_count = 0
             self._all_done.clear()
@@ -441,8 +449,17 @@ class DiagnosisService:
         }
 
     # ------------------------------------------------------------------
-    # journal resume
+    # journal keys and resume
     # ------------------------------------------------------------------
+    def _journal_key(self, device: DeviceReport) -> str:
+        """``device``'s journal key, encoded once per unique signature
+        in this run."""
+        signature = device.signature()
+        key = self._run_keys.get(signature)
+        if key is None:
+            key = self._run_keys[signature] = device.journal_key()
+        return key
+
     def _replay_from_journal(self, state: _DeviceState) -> bool:
         """Resolve ``state`` from the resume journal when its signature
         already carries an answer-bearing resolution (exactly-once
@@ -450,9 +467,7 @@ class DiagnosisService:
         if self.resume_from is None:
             return False
         device = state.device
-        record = self.resume_from.replayable(
-            signature_key(device.signature())
-        )
+        record = self.resume_from.replayable(state.key)
         if record is None:
             return False
         with self._lock:
@@ -727,7 +742,5 @@ class DiagnosisService:
         # path.  Replayed results came *from* the journal — re-appending
         # them would grow the WAL on every resume.
         if self.journal is not None and not result.journal_replayed:
-            self.journal.resolved(
-                signature_key(state.device.signature()), result
-            )
+            self.journal.resolved(state.key, result)
         return True

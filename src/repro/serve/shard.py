@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 from ..diagnosis.core import DiagnosisSession
 from ..sat.budget import Budget
-from .intake import DeviceReport, signature_seed
+from .intake import DeviceReport
 from .race import CONFLICT_POLL_INTERVAL, RaceOutcome, race_device
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,7 +121,7 @@ def run_attempt(
         artifacts.circuit,
         device.tests,
         solver_backend=ladder.solver_backend,
-        seed=signature_seed(signature),
+        seed=device.session_seed(),
     )
     session.master_skeleton = artifacts.skeleton
     counters["races"] += 1

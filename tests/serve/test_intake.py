@@ -1,16 +1,23 @@
 """Device intake: hardened parsing and failure signatures."""
 
 import json
+from collections.abc import Mapping
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits import library
 from repro.serve import (
+    device_to_wire,
+    intake,
     parse_device,
     parse_device_line,
     read_device_stream,
+    signature_key,
     signature_seed,
 )
+from repro.testgen.testset import Test
 
 from tests.serve._devices import device_json, make_device
 
@@ -145,3 +152,186 @@ def test_signature_captures_k():
     a = make_device("a", seed=3, k=1)
     b = make_device("b", seed=3, k=2)
     assert a.signature() != b.signature()
+
+
+# ----------------------------------------------------------------------
+# the cached journal key and session seed
+# ----------------------------------------------------------------------
+_NAMES = st.text("abxyz019_", min_size=1, max_size=6)
+
+
+@st.composite
+def _device_objects(draw):
+    """A valid device object (vector or bits shape) and its design's
+    input order."""
+    inputs = draw(st.lists(_NAMES, min_size=1, max_size=12, unique=True))
+    shape = draw(st.sampled_from(["vector", "bits"]))
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 1), min_size=len(inputs),
+                     max_size=len(inputs)),
+            st.sampled_from(["o1", "o2", "22"]),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=90,
+    ))
+    tests = []
+    for bits, output, value in rows:
+        test = {"output": output, "value": value}
+        if shape == "vector":
+            test["vector"] = dict(zip(inputs, bits))
+        else:
+            test["bits"] = "".join(map(str, bits))
+        tests.append(test)
+    data = {"id": "d0", "design": draw(_NAMES), "tests": tests}
+    k = draw(st.none() | st.integers(1, 4))
+    if k is not None:
+        data["k"] = k
+    return data, inputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_device_objects(), st.booleans())
+def test_cached_key_and_seed_equal_the_exported_functions(case, seed_first):
+    data, inputs = case
+    device = parse_device(data, inputs_of=lambda design: inputs)
+    if seed_first:  # either value fills the cache for both
+        seed, key = device.session_seed(), device.journal_key()
+    else:
+        key, seed = device.journal_key(), device.session_seed()
+    assert key == signature_key(device.signature())
+    assert seed == signature_seed(device.signature())
+    # The process-mode wire form re-parses to the same key and seed.
+    wired = parse_device(device_to_wire(device))
+    assert wired.journal_key() == key
+    assert wired.session_seed() == seed
+
+
+# ----------------------------------------------------------------------
+# bulk-checked vectors: a differential against the per-bit parser
+# ----------------------------------------------------------------------
+def _per_bit_parse_test(data, where, inputs):
+    """The per-bit ``_parse_test`` the bulk check must agree with."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where} must be an object")
+    output = intake._require(data, "output", where)
+    if not isinstance(output, str):
+        raise ValueError(f"{where}.output must be an output name (string)")
+    value = intake._bit(intake._require(data, "value", where),
+                        f"{where}.value")
+    if "vector" in data:
+        raw = data["vector"]
+        if not isinstance(raw, Mapping):
+            raise ValueError(
+                f"{where}.vector must map input names to 0/1"
+            )
+        vector = {}
+        for name, bit in raw.items():
+            if not isinstance(name, str):
+                raise ValueError(
+                    f"{where}.vector keys must be input names (strings)"
+                )
+            vector[name] = intake._bit(bit, f"{where}.vector[{name!r}]")
+    elif "bits" in data:
+        bits = data["bits"]
+        if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+            raise ValueError(f"{where}.bits must be a 0/1 string")
+        if inputs is None:
+            raise ValueError(
+                f"{where}.bits needs the design's input order; pass "
+                "'vector' instead or supply inputs_of"
+            )
+        if len(bits) != len(inputs):
+            raise ValueError(
+                f"{where}.bits has {len(bits)} bits for "
+                f"{len(inputs)} primary inputs"
+            )
+        vector = {name: int(b) for name, b in zip(inputs, bits)}
+    else:
+        raise ValueError(
+            f"{where} needs a 'vector' (or 'bits') input assignment"
+        )
+    return Test(vector=vector, output=output, value=value)
+
+
+class _ReadOnlyMapping(Mapping):
+    """A mapping that is not a dict: the parser must use the Mapping
+    API."""
+
+    def __init__(self, pairs):
+        self._data = dict(pairs)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+_ANY_BIT = st.sampled_from(
+    [0, 1, True, False, 0.0, 1.0, 2, -1, "1", None, [], {}]
+)
+_ANY_KEY = _NAMES | st.integers(-1, 3) | st.none()
+_VECTOR_PAIRS = (
+    st.lists(st.tuples(_NAMES, st.integers(0, 1)), max_size=10)
+    | st.lists(st.tuples(_ANY_KEY, _ANY_BIT), max_size=10)
+)
+
+
+def _parsed(data):
+    try:
+        device = parse_device(data)
+    except ValueError as exc:
+        return "error", str(exc)
+    # repr tells 1 from True and 1.0, which == does not.
+    return device, repr(device.signature())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_VECTOR_PAIRS, st.booleans(), st.integers(0, 1)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_bulk_vector_check_matches_the_per_bit_parser(rows):
+    tests = [
+        {
+            "vector": (_ReadOnlyMapping if as_mapping else dict)(pairs),
+            "output": "o1",
+            "value": value,
+        }
+        for pairs, as_mapping, value in rows
+    ]
+    data = {"id": "d0", "design": "c17", "tests": tests}
+    with mock.patch.object(intake, "_parse_test", _per_bit_parse_test):
+        expected = _parsed(data)
+    assert _parsed(data) == expected
+
+
+@pytest.mark.parametrize(
+    "workload, key, seed",
+    [
+        (
+            {"seed": 3},
+            "bb556ddc1fa7f315f8a59e594b99ba4a41151a32c3f2fb97f81f8b3a3cd820b1",
+            1193551585,
+        ),
+        (
+            {"design": "sim1423", "seed": 1, "k": 2},
+            "275800786e1ec884aefcc39b383443b3dc891c482e6c2bf95f77b3479c798b90",
+            1033163584,
+        ),
+    ],
+)
+def test_key_and_seed_values_are_pinned(workload, key, seed):
+    device = make_device("d0", **workload)
+    # Journals written by earlier runs are keyed by these values, and
+    # the seed fixes every stochastic draw of the device's session.
+    assert device.journal_key() == signature_key(device.signature()) == key
+    assert device.session_seed() == signature_seed(device.signature()) == seed

@@ -10,6 +10,7 @@ from repro.serve import (
     DiagnosisService,
     ProcessDiagnosisService,
     ResultJournal,
+    intake,
     read_journal,
     signature_key,
 )
@@ -222,6 +223,76 @@ def test_timeout_records_are_not_replayed(tmp_path):
     (result,) = service.run([device])
     assert result.status == "ok"
     assert not result.journal_replayed
+
+
+# ----------------------------------------------------------------------
+# signature keys: one encode per unique signature per run
+# ----------------------------------------------------------------------
+def _count_encodes(monkeypatch) -> list:
+    """Count calls of the one canonical encode of a failure signature
+    (in this process)."""
+    calls = []
+    encode = intake._signature_digests
+
+    def counted(signature):
+        calls.append(signature)
+        return encode(signature)
+
+    monkeypatch.setattr(intake, "_signature_digests", counted)
+    return calls
+
+
+def _duplicated_stream(copies=4, n=3):
+    """``copies`` distinct reports of each of ``n`` c17 signatures,
+    interleaved the way a tester stream repeats failures."""
+    devices = [
+        make_device(f"d{i}-{c}", seed=3 + i)
+        for c in range(copies)
+        for i in range(n)
+    ]
+    assert len({d.signature() for d in devices}) == n
+    return devices
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_journaled_run_and_resume_encode_each_signature_once(
+    mode, tmp_path, monkeypatch
+):
+    devices = _duplicated_stream()
+    calls = _count_encodes(monkeypatch)
+    path = tmp_path / "serve.wal"
+    with ResultJournal(path) as journal:
+        with _service(mode, timeout=30.0, journal=journal) as service:
+            first = service.run(devices)
+            assert service._run_keys == {}
+    with _service(
+        mode, timeout=30.0, resume_from=read_journal(path)
+    ) as resumer:
+        resumed = resumer.run(devices)
+        assert resumer._run_keys == {}
+    assert all(r.status == "ok" for r in first)
+    assert all(r.journal_replayed for r in resumed)
+    # Admission keys each unique signature once (its seed comes from
+    # the same encode); duplicates and the resume over the same reports
+    # encode nothing more.
+    assert len(calls) == len(set(calls)) == 3
+    assert {r["sig"] for r in map(json.loads, open(path))} == {
+        signature_key(d.signature()) for d in devices
+    }
+
+
+def test_unjournaled_run_encodes_only_for_diagnosed_devices(monkeypatch):
+    devices = _duplicated_stream()
+    calls = _count_encodes(monkeypatch)
+    service = DiagnosisService(n_shards=1, timeout=30.0)
+    service.run(devices)
+    stats = service.stats()
+    # No journal, no resume: no key at admission, one seed per ladder
+    # run, and memo hits encode nothing.
+    assert stats["shards"]["shard0"]["races"] == 3
+    assert stats["signature_hits"] == len(devices) - 3
+    assert len(calls) == 3
+    assert service._run_keys == {}
 
 
 # ----------------------------------------------------------------------
