@@ -25,12 +25,13 @@ the vectorized deductive engine must beat the pure-Python propagator by
 ≥2× on the detect leg (both asserted, and recorded for EXPERIMENTS.md).
 
 A third leg times the diagnosis singleton sweep
-(:func:`repro.diagnosis.validity.single_gate_rect_words`), which
-evaluates only the fan-in cones of the observed outputs, against the
-full sweep of every gate kept here as the reference, on sim1423 and
-sim6669 devices with m = 8 failing tests.  The words must be
-bit-identical and the restricted sweep ≥2× faster over the devices of
-both designs.
+(:func:`repro.diagnosis.validity.single_gate_rect_words`: one
+row-packed bit-parallel pass over only the fan-in cones of the observed
+outputs), against the full sweep of every gate kept here as the
+reference, on sim1423 and sim6669 devices with m = 8 failing tests plus
+one device per design with m = 96 (words of two uint64 lanes).  The
+words must be bit-identical and the restricted sweep ≥2× faster over
+the devices of both designs.
 
 A fourth leg times greedy's deep check, the multi-gate consistency
 oracle (:func:`repro.diagnosis.validity.rect_word_by_forcing`: every
@@ -106,10 +107,12 @@ MIN_CODEGEN_SPEEDUP = 1.5
 #: Singleton-sweep leg: designs and (p, seed) workloads, m = 8 each.
 SINGLETON_DESIGNS = ("sim1423", "sim6669")
 SINGLETON_DEVICES = ((1, 0), (2, 1), (1, 2), (2, 3))
+#: The singleton leg's multi-lane device per design: (p, seed, m).
+MULTI_LANE_DEVICE = (1, 4, 96)
 #: Floor on the cone-restricted singleton sweep vs the full sweep, summed
-#: over the devices of both designs.  Per design it measures ~2.5x
+#: over the devices of both designs.  Per design it measures ~10-12x
 #: (sim1423, whose observed cones cover about half the circuit) and
-#: ~6x (sim6669); the per-design ratios are drift-gated against
+#: ~16x (sim6669); the per-design ratios are drift-gated against
 #: ``BENCH_faultsim.json``.
 MIN_SINGLETON_SPEEDUP = 2.0
 #: Floor on the packed deep-check oracle vs one whole-netlist
@@ -177,10 +180,12 @@ def _singleton_sweep_leg():
     """Per design: summed min-of-N times of the full and the restricted
     sweep over the devices, after asserting bit-identical words."""
     legs = {}
+    devices = [(p, seed, 8) for p, seed in SINGLETON_DEVICES]
+    devices.append(MULTI_LANE_DEVICE)
     for design in SINGLETON_DESIGNS:
         t_full = t_cone = 0.0
-        for p, seed in SINGLETON_DEVICES:
-            w = make_workload(design, p=p, m_max=8, seed=seed)
+        for p, seed, m in devices:
+            w = make_workload(design, p=p, m_max=m, seed=seed)
             pool = list(w.faulty.gate_names)
             t, full = _best_of(
                 lambda: _full_singleton_words(w.faulty, w.tests, pool)
@@ -190,10 +195,10 @@ def _singleton_sweep_leg():
                 lambda: single_gate_rect_words(w.faulty, w.tests, pool)
             )
             t_cone += t
-            assert cone == full, (design, p, seed)
+            assert cone == full, (design, p, seed, m)
         legs[design] = {
             "gates": w.faulty.num_gates,
-            "devices": len(SINGLETON_DEVICES),
+            "devices": len(devices),
             "t_full": t_full,
             "t_cone": t_cone,
             "speedup": t_full / max(t_cone, 1e-9),
@@ -409,7 +414,8 @@ def test_record_speedup_artifact(benchmark):
                 f"({len(cov_np.detected)}/{len(big_faults)})",
                 "",
                 f"singleton sweep: {len(SINGLETON_DEVICES)} devices per "
-                "design, m=8, all gates in the pool",
+                f"design with m=8 and one with m={MULTI_LANE_DEVICE[2]}, "
+                "all gates in the pool",
                 *(
                     f"{design}: full {leg['t_full'] * 1e3:.1f} ms, "
                     f"cone-restricted {leg['t_cone'] * 1e3:.1f} ms, "

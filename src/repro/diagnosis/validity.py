@@ -23,7 +23,7 @@ cross-validation oracle for BSAT.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,8 +31,16 @@ import numpy as np
 from ..circuits.netlist import Circuit
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_gate
-from ..sim.batchfault import _lane_mask, batch_output_lanes
-from ..sim.parallel import _pack_lanes, simulate_words
+# batch_output_lanes is not called here.  It stays a name of this module
+# because tracers such as perfbench/spans.py wrap it by name.
+from ..sim.batchfault import _lane_mask, batch_output_lanes  # noqa: F401
+from ..sim.compiled import compile_circuit
+from ..sim.parallel import (
+    _pack_lanes,
+    _rows_to_words,
+    pack_patterns,
+    simulate_words,
+)
 from ..testgen.testset import Test, TestSet
 from .base import Correction
 
@@ -53,6 +61,11 @@ _SIM_LIMIT = 14
 #: to check are split into chunks of at most ``_PACK_WIDTH >> n'``.
 _PACK_WIDTH = 1 << 16
 assert _PACK_WIDTH >= 1 << _SIM_LIMIT  # one block always fits
+
+#: Cap on one singleton-sweep pass, in bits of signal words (row blocks
+#: times signals in the cone): longer test sets are swept in chunks of
+#: tests, so memory is bounded by the design, not by the test count.
+_SWEEP_BITS = 1 << 30
 
 
 def _counter_words(n_gates: int) -> list[int]:
@@ -115,8 +128,10 @@ def rect_word_by_forcing(
         outputs = circuit.outputs
     else:
         outputs = tuple(dict.fromkeys(tests[j].output for j in pending))
-    cone = frozenset().union(*map(circuit.fanin_cone, outputs))
-    forced = [gate for gate in gate_list if gate in cone]
+    comp = compile_circuit(circuit)
+    in_cone = comp.cone_mask(outputs).tolist()
+    index = comp.index
+    forced = [gate for gate in gate_list if in_cone[index[gate]]]
     n = len(forced)
     if n > _SIM_LIMIT:
         for j in pending:
@@ -126,11 +141,12 @@ def rect_word_by_forcing(
                 word |= 1 << j
         return word
     counters = dict(zip(forced, _counter_words(n)))
+    inputs = [pi for pi in circuit.inputs if in_cone[index[pi]]]
     per_chunk = _PACK_WIDTH >> n
     for start in range(0, len(pending), per_chunk):
         chunk = [tests[j] for j in pending[start : start + per_chunk]]
         hits = _packed_matches(
-            circuit, chunk, counters, outputs, cone, constrain_all_outputs
+            circuit, chunk, counters, outputs, inputs, constrain_all_outputs
         )
         for j, hit in zip(pending[start:], hits):
             if hit:
@@ -143,12 +159,13 @@ def _packed_matches(
     tests: Sequence[Test],
     counters: dict[str, int],
     outputs: Sequence[str],
-    cone: frozenset[str],
+    inputs: Sequence[str],
     constrain_all_outputs: bool,
 ) -> np.ndarray:
     """One packed pass over ``tests``: entry ``b`` is True iff some
     forced combination in block ``b`` (test ``b``) matches its goal.
-    ``counters`` maps each forced gate to its one-block counter word."""
+    ``counters`` maps each forced gate to its one-block counter word;
+    ``inputs`` are the primary inputs inside the outputs' cones."""
     block = 1 << len(counters)
     n_patterns = len(tests) * block
     fill = (1 << block) - 1
@@ -163,11 +180,7 @@ def _packed_matches(
 
     mask = (1 << n_patterns) - 1
     repeat = mask // fill  # bit b*block set for every block b
-    input_words = {
-        pi: spread(t.vector[pi] for t in tests)
-        for pi in circuit.inputs
-        if pi in cone
-    }
+    input_words = {pi: spread(t.vector[pi] for t in tests) for pi in inputs}
     forced_words = {g: word * repeat for g, word in counters.items()}
     values = simulate_words(
         circuit, input_words, n_patterns,
@@ -310,61 +323,128 @@ def _lanes_to_word(lanes: np.ndarray, mask: int) -> int:
     return int.from_bytes(raw.tobytes(), "little") & mask
 
 
-def _rows_to_words(rows: np.ndarray, mask: int) -> list[int]:
-    """:func:`_lanes_to_word` for every row of a ``(n, lanes)`` array."""
-    # One list of python ints per lane, folded from the top lane down.
-    lanes = rows.T.tolist()
-    words = lanes.pop()
-    while lanes:
-        words = [(w << 64) | low for w, low in zip(words, lanes.pop())]
-    return [w & mask for w in words]
-
-
 def single_gate_rect_words(
     circuit: Circuit,
     tests: TestSet | Iterable[Test],
     pool: Sequence[str],
     constrain_all_outputs: bool = False,
 ) -> dict[str, int]:
-    """Per-gate *rectification words* over ``pool``, one engine sweep.
+    """Per-gate *rectification words* over ``pool``, one simulator pass.
 
     Bit ``j`` of the word for gate ``g`` is set iff some single forced
     value at ``g`` rectifies test ``j``.  Only the outputs the tests
     constrain matter (every output under ``constrain_all_outputs``), so
-    one sweep (:func:`repro.sim.batchfault.batch_output_lanes` with
-    ``outputs=``) evaluates just ``U``, the union of their fan-in cones.
-    Of the two forced values at ``g``, the one equal to the fault-free
+    the pass evaluates just ``U``, the union of their fan-in cones.  Of
+    the two forced values at ``g``, the one equal to the fault-free
     value reproduces the fault-free circuit: it rectifies exactly the
     tests that already pass.  So only the other one matters for a
-    failing test, and the sweep asks for one *flip* row per pool gate
-    (``g`` forced to the complement of its fault-free value):
-    ``word(g) = passing | (failing & ~miss(flip row of g))``.  Forcing
-    a gate outside ``U`` changes no constrained output, so the sweep
-    simulates no row for it and returns the fault-free row, and its
-    word is the passing word.  Every word is bit-identical to a sweep
-    of the whole circuit with both stuck-at rows of every pool gate.
+    failing test, the gate's *flip*:
+    ``word(g) = passing | (failing & ~miss(flip of g))``.
+
+    The pass is one cone-restricted
+    :func:`~repro.sim.parallel.simulate_words` call on words of ``R``
+    row blocks of ``S`` bits (``S``: ``len(tests)`` rounded up to whole
+    bytes).  Block ``r < R - 1`` is the flip row of the ``r``-th pool
+    gate inside ``U``: its ``xor_words`` entry complements the gate in
+    that block only, after the gate is evaluated, and the gate's cone is
+    fault-free within the block, so the flip is exact.  The last block
+    is the fault-free row.  Each input's packed test word is copied into
+    every block by one multiplication.  A test set whose pass would
+    exceed ``_SWEEP_BITS`` is swept in chunks of tests, one pass each.
+    Forcing a gate outside ``U`` changes no constrained output, so it
+    gets no row and its word is the passing word.  Every word is
+    bit-identical to a sweep of the whole circuit with both stuck-at
+    rows of every pool gate.  A pool name that is no signal of the
+    circuit raises ``ValueError``.
     """
     tests = tests if isinstance(tests, TestSet) else TestSet(tuple(tests))
     pool = list(dict.fromkeys(pool))  # one flip row per gate
     if not len(tests) or not pool:
         return {g: 0 for g in pool}
-    mask = (1 << len(tests)) - 1
+    comp = compile_circuit(circuit)
+    try:
+        indices = np.fromiter(
+            map(comp.index.__getitem__, pool), dtype=np.intp, count=len(pool)
+        )
+    except KeyError as exc:
+        raise ValueError(
+            f"pool gate {exc.args[0]!r} is not a signal of circuit "
+            f"{circuit.name!r}"
+        ) from None
     if constrain_all_outputs:
         outputs = circuit.outputs
     else:
         observed = {t.output for t in tests}
         outputs = tuple(o for o in circuit.outputs if o in observed)
+    cone = comp.cone_mask(outputs)
+    swept = list(compress(pool, cone[indices].tolist()))
+    in_cone = cone.tolist()
+    inputs = [pi for pi in circuit.inputs if in_cone[comp.index[pi]]]
+    cells = (len(swept) + 1) * max(1, sum(in_cone))
+    per_pass = max(8, _SWEEP_BITS // cells // 8 * 8)
+    row_words: list[int] | None = None
+    passing = 0
+    for start in range(0, len(tests), per_pass):
+        chunk = TestSet(tests.tests[start : start + per_pass])
+        rows, chunk_passing = _flip_rows(
+            circuit, chunk, swept, outputs, inputs, constrain_all_outputs
+        )
+        passing |= chunk_passing << start
+        row_words = rows if row_words is None else [
+            word | row << start for word, row in zip(row_words, rows)
+        ]
+    words = dict.fromkeys(pool, passing)
+    words.update(zip(swept, row_words))
+    return words
+
+
+def _flip_rows(
+    circuit: Circuit,
+    tests: TestSet,
+    swept: Sequence[str],
+    outputs: Sequence[str],
+    inputs: Sequence[str],
+    constrain_all_outputs: bool,
+) -> tuple[list[int], int]:
+    """One row-packed pass of :func:`single_gate_rect_words` over
+    ``tests``: the word of every gate of ``swept`` and the passing word.
+    ``inputs`` are the primary inputs inside the outputs' cones."""
+    m = len(tests)
+    mask = (1 << m) - 1
+    width = (m + 7) // 8  # row stride in bytes
+    stride = 8 * width
+    rows = len(swept) + 1
+    # Bit r * stride set for every row r: x * ones copies an S-bit x
+    # into every row block.
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * rows, "little")
+    block = (1 << stride) - 1
+    packed = pack_patterns([t.vector for t in tests], circuit.inputs)
+    values = simulate_words(
+        circuit,
+        {pi: packed[pi] * ones for pi in inputs},
+        rows * stride,
+        outputs=outputs,
+        xor_words={g: block << (r * stride) for r, g in enumerate(swept)},
+    )
     want, care, _ = want_care_lanes(
         circuit, tests, constrain_all_outputs, outputs
     )
-    flip_lanes, good, _ = batch_output_lanes(
-        circuit, (), [t.vector for t in tests], outputs=outputs, flips=pool
+    # A set bit marks a test its row leaves failing.
+    miss = 0
+    for out, want_word, care_word in zip(
+        outputs, _rows_to_words(want, mask), _rows_to_words(care, mask)
+    ):
+        miss |= (values[out] ^ want_word * ones) & care_word * ones
+    failing = miss >> (len(swept) * stride)  # the fault-free row
+    # word(g) = passing | (failing & ~miss(g)) = mask ^ (miss(g) & failing)
+    raw = ((miss & failing * ones) ^ mask * ones).to_bytes(
+        rows * width, "little"
     )
-    # A set bit marks a test the fault-free circuit fails.
-    failing = np.bitwise_or.reduce((good ^ want) & care, axis=0)
-    # A set bit marks a failing test the gate's flip leaves failing.
-    miss = np.bitwise_or.reduce((flip_lanes ^ want) & care, axis=1)
-    return dict(zip(pool, _rows_to_words(~(miss & failing), mask)))
+    # Each row widened to whole uint64 lanes, then folded into an int.
+    lanes = -(-width // 8)
+    padded = np.zeros((rows, 8 * lanes), dtype=np.uint8)
+    padded[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
+    return _rows_to_words(padded.view("<u8"), mask)[:-1], mask ^ failing
 
 
 def valid_single_gate_corrections(

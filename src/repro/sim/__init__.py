@@ -11,13 +11,20 @@ Engine selection guide
 * :func:`simulate` / :func:`output_values` — one scalar pass, one pattern;
   the ground-truth oracle everything else is tested against.
 * :func:`simulate_words` — bit-parallel over patterns on Python's
-  unbounded ints (no 64-pattern limit); best for up to a few hundred
-  patterns on one circuit configuration, or for one wide word whose
-  patterns share that configuration.  ``outputs=`` evaluates only those
-  signals' fan-in cones: the diagnosis consistency oracle
+  unbounded ints (no 64-pattern limit), dispatched through the design's
+  index step table (:attr:`CompiledCircuit.steps`); best for up to a
+  few hundred patterns on one circuit configuration, or for one wide
+  word of many blocks of patterns.  ``outputs=`` evaluates only those
+  signals' fan-in cones (:meth:`CompiledCircuit.cone_mask`).
+  ``forced_words=`` overrides a signal everywhere; ``xor_words=``
+  complements it in the blocks its word covers, so one pass carries one
+  *flip row* per signal.  Both diagnosis simulations are such passes:
+  the consistency oracle
   (:func:`repro.diagnosis.validity.rect_word_by_forcing`) packs every
-  open test's ``2^n'`` forced combinations into one such word and
-  simulates only the observed cones.
+  open test's ``2^n'`` forced combinations into one word, and the
+  singleton sweep (:func:`repro.diagnosis.validity.
+  single_gate_rect_words`) packs one byte-aligned row block of the tests
+  per pool gate inside the observed cones, plus the fault-free row.
 * :func:`simulate_words_numpy` — uint64-lane vectorization of the same
   idea, for thousands of patterns.
 * :mod:`repro.sim.batchfault` (:func:`fault_signatures_batch`,
@@ -28,13 +35,10 @@ Engine selection guide
   This is the fast path behind ``FaultDictionary``, ``diagnose_stuck_at``
   and the ATPG coverage loop (their ``engine`` / ``sim_engine``
   parameters select it; the serial engines remain the equivalence
-  oracle).  :func:`batch_output_lanes` also takes *flip* rows
-  (``flips=``): one row per signal, forced to the complement of its
-  fault-free value, which stands for both stuck-at rows wherever only a
-  change can matter.  The diagnosis singleton sweep
-  (:func:`repro.diagnosis.validity.single_gate_rect_words`) asks for
-  one flip row per pool gate and no stuck-at fault; with ``outputs=``
-  only the flips inside those outputs' cones are simulated.
+  oracle).  The diagnosis singleton sweep is not a batchfault sweep: at
+  its 8-test width each ufunc call on a ``(rows, 1)`` lane array is
+  almost all fixed overhead, and one :func:`simulate_words` pass with a
+  flip row per gate is 2-4× faster on sim1423/sim6669 devices.
 * :func:`deductive_fault_lists` — the classic deductive fault simulator
   (one pass per pattern, all faults at once); pure-Python set propagation,
   kept as the reference the vectorized port's per-signal fault lists are
@@ -56,10 +60,9 @@ Engine selection guide
   what-if loop of :mod:`repro.diagnosis.advanced_sim`.  Not a
   fault-simulation engine: a force/unforce cycle per fault swept the
   663-gate coverage workload ~13× slower than batchfault.  Nor is it the
-  singleton candidate screen any more: from 10-gate pools up, one
-  :func:`batch_output_lanes` sweep restricted to the observed outputs'
-  fan-in cones (``outputs=``), with one flip row per gate, beats a
-  force/unforce cycle per gate.
+  singleton candidate screen: one row-packed :func:`simulate_words`
+  pass over the observed outputs' fan-in cones, with one flip row per
+  gate, beats a force/unforce cycle per gate.
 * :mod:`repro.sim.codegen` (:func:`compile_kernel`,
   :func:`codegen_detected`, :func:`codegen_fault_coverage`,
   :func:`exact_match_faults_codegen`) — the compiled floor of the

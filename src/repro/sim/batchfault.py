@@ -16,9 +16,9 @@ module batches the *fault* axis on top of the uint64 *pattern* lanes of
   site, as the site's value is assigned — exactly where the serial engine
   applies its ``forced`` override, so results are bit-identical (the
   cross-engine property suite asserts this);
-* optional *flip* rows follow the fault rows: each forces one signal to
-  the complement of its fault-free value, one row where a stuck-at pair
-  would take two (:func:`batch_output_lanes`).
+* gates dispatch through the design's step table
+  (:attr:`repro.sim.compiled.CompiledCircuit.steps`), shared with
+  :func:`repro.sim.parallel.simulate_words`.
 
 A full sweep is a handful of vectorized numpy passes instead of one
 Python netlist walk per fault.  On the 600-gate / 1382-fault /
@@ -33,8 +33,13 @@ masked out of the batch for all subsequent blocks, shrinking the row
 count as the sweep progresses.
 
 Within the vectorized lineup this engine owns the *sweep-everything*
-workload.  When only per-change increments are needed, the batched event
-simulator (:mod:`repro.sim.batchevent`) re-evaluates fanout cones instead;
+workload of stuck-at faults over many patterns.  The diagnosis singleton
+sweep, one flip row per gate over a handful of tests, is a row-packed
+:func:`~repro.sim.parallel.simulate_words` pass instead
+(:func:`repro.diagnosis.validity.single_gate_rect_words`): at that width
+each ufunc call here is almost all fixed overhead.  When only per-change
+increments are needed, the batched event simulator
+(:mod:`repro.sim.batchevent`) re-evaluates fanout cones instead;
 when per-signal fault lists are needed, the bitset deductive engine
 (:mod:`repro.sim.deductive_numpy`) propagates them directly.  All three
 are bit-identical on shared queries (``tests/sim/test_cross_engine.py``).
@@ -42,7 +47,6 @@ are bit-identical on shared queries (``tests/sim/test_cross_engine.py``).
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,7 +55,7 @@ from ..circuits.gates import GateType
 from ..circuits.netlist import Circuit
 from ..faults.collapse import full_stuck_at_universe
 from ..faults.models import StuckAtFault
-from .compiled import CompiledCircuit, compile_circuit
+from .compiled import UFUNCS, CompiledCircuit, compile_circuit
 from .deductive import FaultCoverage
 from .parallel import _pack_lanes
 
@@ -122,124 +126,32 @@ _GATE_OPS = {
     GateType.XNOR: (np.bitwise_xor, True),
 }
 
-#: Step kinds of the per-signal op table (:class:`_SweepLayout`).
-_NARY, _COPY, _NOT, _ZERO, _ONE, _SKIP = range(6)
-
-
-def _step(gtype: GateType, fanins: tuple[int, ...]) -> tuple:
-    """One signal's evaluation step ``(kind, op, invert, fanins)``."""
-    op_invert = _GATE_OPS.get(gtype)
-    if op_invert is not None:
-        op, invert = op_invert
-        if len(fanins) == 1:
-            return (_NOT if invert else _COPY, None, False, fanins)
-        return (_NARY, op, invert, fanins)
-    if gtype in (GateType.DFF, GateType.CONST0):
-        return (_ZERO, None, False, fanins)
-    if gtype is GateType.CONST1:
-        return (_ONE, None, False, fanins)
-    if gtype is GateType.NOT:
-        return (_NOT, None, False, fanins)
-    if gtype is GateType.INPUT:
-        return (_SKIP, None, False, fanins)
-    return (_COPY, None, False, fanins)  # BUF
-
-
-class _SweepLayout:
-    """Per-design index tables of :func:`_sweep`, built on first use.
-
-    ``ops[idx]`` is signal ``idx``'s evaluation step, so a sweep hashes
-    no :class:`GateType`.  :meth:`cone_mask` keeps one fan-in cone index
-    array per signal it is asked about, so a cone-restricted sweep
-    builds its cone as a boolean mask.  Both are bounded by the design
-    (one entry per signal), never by the sets of outputs swept.
-    """
-
-    def __init__(self, comp: CompiledCircuit) -> None:
-        self.comp = comp
-        self.ops = tuple(map(_step, comp.gtypes, comp.fanins))
-        self.eval_order = np.asarray(comp.eval_order, dtype=np.intp)
-        self.input_indices = np.asarray(comp.input_indices, dtype=np.intp)
-        self._cones: dict[str, np.ndarray] = {}
-
-    def cone_mask(self, signals: Sequence[str]) -> np.ndarray:
-        """Boolean mask over signal indices of the union of the fan-in
-        cones of ``signals``
-        (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`)."""
-        mask = np.zeros(self.comp.n, dtype=bool)
-        for name in signals:
-            cone = self._cones.get(name)
-            if cone is None:
-                names = self.comp.circuit.fanin_cone(name)
-                cone = np.fromiter(
-                    map(self.comp.index.__getitem__, names),
-                    dtype=np.intp,
-                    count=len(names),
-                )
-                self._cones[name] = cone
-            mask[cone] = True
-        return mask
-
-
-def _layout(comp: CompiledCircuit) -> _SweepLayout:
-    """``comp``'s sweep layout, cached on the circuit with its compiled
-    form (a mutation clears both)."""
-    cache = comp.circuit._cache
-    layout = cache.get("sweep_layout")
-    if not isinstance(layout, _SweepLayout) or layout.comp is not comp:
-        layout = cache["sweep_layout"] = _SweepLayout(comp)
-    return layout
-
-
-def _signal_indices(comp: CompiledCircuit, signals: Sequence[str]) -> list[int]:
-    """Signal index of every name in ``signals``."""
-    try:
-        return list(map(comp.index.__getitem__, signals))
-    except KeyError as exc:
-        raise ValueError(
-            f"fault site {exc.args[0]!r} is not a signal of "
-            f"circuit {comp.circuit.name!r}"
-        ) from None
-
-
 def _sweep(
     comp: CompiledCircuit,
     faults: Sequence[StuckAtFault],
     input_lanes: np.ndarray,
     lanes: int,
-    cone: np.ndarray | None = None,
-    flips: Sequence[int] = (),
 ) -> np.ndarray:
     """One batched netlist pass.
 
     ``input_lanes`` is the ``(n_inputs, lanes)`` packing of the patterns
     in circuit input order (:func:`repro.sim.parallel._pack_lanes`).
     Returns a ``(n_signals, rows, lanes)`` uint64 array; row ``k <
-    len(faults)`` has fault ``k`` forced, the next ``len(flips)`` rows
-    are *flip* rows, and the final row is fault-free.  Flip row ``i``
-    forces signal index ``flips[i]`` to the complement of its
-    fault-free value in every pattern (the indices must be distinct).
-    All gate evaluations write in place into the one preallocated buffer —
-    no per-gate allocation, which keeps the cold-cache sweep as fast as a
-    warm one.  With ``cone`` (a boolean mask over signal indices, closed
-    under fan-in) only those signals are assigned and evaluated; the
-    other signals' slices of the buffer stay uninitialised.
+    len(faults)`` has fault ``k`` forced and the final row is
+    fault-free.  All gate evaluations write in place into the one
+    preallocated buffer — no per-gate allocation, which keeps the
+    cold-cache sweep as fast as a warm one.  Gates dispatch through the
+    design's step table (:attr:`CompiledCircuit.steps`); the buffer's
+    extra last signal is its zero slot.
     """
     n_faults = len(faults)
-    rows = n_faults + len(flips) + 1
+    rows = n_faults + 1
     rows0, rows1 = _fault_rows(comp, faults) if faults else ({}, {})
-    flip_row = dict(zip(flips, range(n_faults, rows - 1)))
-    buf = np.empty((comp.n, rows, lanes), dtype=np.uint64)
-    layout = _layout(comp)
-    ops = layout.ops
-    inputs = layout.input_indices
-    eval_order: Sequence[int] = comp.eval_order
-    if cone is not None:
-        keep = cone[inputs]
-        inputs = inputs[keep]
-        input_lanes = input_lanes[keep]
-        eval_order = layout.eval_order[cone[layout.eval_order]].tolist()
-    buf[inputs] = input_lanes[:, None, :]  # broadcast over the rows
+    buf = np.empty((comp.n + 1, rows, lanes), dtype=np.uint64)
+    buf[comp.n] = 0
+    steps = comp.steps
+    inputs = comp.input_indices
+    buf[list(inputs)] = input_lanes[:, None, :]  # broadcast over the rows
 
     def place(idx: int) -> None:
         r0 = rows0.get(idx)
@@ -251,39 +163,26 @@ def _sweep(
 
     # Ufunc outputs are passed positionally: an ``out=`` keyword costs
     # about as much as the evaluation of a few hundred rows.
-    for idx in inputs.tolist():
-        if n_faults:
+    if n_faults:
+        for idx in inputs:
             place(idx)
-        row = flip_row.get(idx)
-        if row is not None:
-            np.invert(buf[idx, -1], buf[idx, row])
-    for idx in eval_order:
-        kind, op, invert, fin = ops[idx]
+    for idx in comp.eval_order:
+        op, invert, first, rest = steps[idx]
         v = buf[idx]
-        if kind == _NARY:
-            op(buf[fin[0]], buf[fin[1]], v)
-            for f in fin[2:]:
-                op(v, buf[f], v)
+        if rest:
+            ufunc = UFUNCS[op]
+            ufunc(buf[first], buf[rest[0]], v)
+            for f in rest[1:]:
+                ufunc(v, buf[f], v)
             if invert:
                 np.invert(v, v)
-        elif kind == _COPY:
-            np.copyto(v, buf[fin[0]])
-        elif kind == _NOT:
-            np.invert(buf[fin[0]], v)
-        elif kind == _ZERO:
-            v[...] = 0
-        elif kind == _ONE:
-            v[...] = _ALL_ONES
+        elif invert:
+            np.invert(buf[first], v)
         else:
-            # Defensive only: eval_order excludes INPUT nodes (they are
-            # assigned, and forced, before this loop).
-            continue
+            np.copyto(v, buf[first])
         if n_faults:
             place(idx)
-        row = flip_row.get(idx)
-        if row is not None:
-            np.invert(v[-1], v[row])
-    return buf
+    return buf[: comp.n]
 
 
 def _lane_mask(n_patterns: int, lanes: int) -> np.ndarray:
@@ -311,34 +210,15 @@ def batch_output_lanes(
     circuit: Circuit,
     faults: Sequence[StuckAtFault],
     patterns: Sequence[Mapping[str, int]],
-    outputs: Sequence[str] | None = None,
-    flips: Sequence[str] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Low-level batched sweep: output words for all faults at once.
 
     Returns ``(fault_lanes, good_lanes, lane_mask)`` where ``fault_lanes``
-    has shape ``(len(faults) + len(flips), n_outputs, lanes)`` (outputs
-    in circuit output order unless ``outputs`` is given), ``good_lanes``
-    is the fault-free response ``(n_outputs, lanes)``, and ``lane_mask``
-    clears the padding bits of the last lane.  Padding bits are *not*
-    pre-masked in the value arrays.
-
-    ``flips`` adds one row per named signal after the stuck-at rows: a
-    *flip* row forces the signal to the complement of its fault-free
-    value in every pattern.  Per pattern it equals whichever of the
-    signal's two stuck-at rows differs from the fault-free row, so one
-    flip row stands for both where only a change can matter (the
-    diagnosis singleton sweep,
-    :func:`repro.diagnosis.validity.single_gate_rect_words`).  The
-    signals must be distinct.
-
-    ``outputs`` restricts the sweep to those signals' fan-in cones
-    (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`): only the
-    union of the cones is evaluated, and only those signals are
-    returned, in the order given.  A fault or flip outside the union
-    cannot change them, so its row equals the fault-free row (a flip
-    outside it is not simulated: its row is copied from the fault-free
-    row).
+    has shape ``(len(faults), n_outputs, lanes)`` (outputs in circuit
+    output order), ``good_lanes`` is the fault-free response
+    ``(n_outputs, lanes)``, and ``lane_mask`` clears the padding bits of
+    the last lane.  Padding bits are *not* pre-masked in the value
+    arrays.
 
     Pattern sets too wide for the ~256 MB sweep-buffer budget are swept in
     lane-aligned blocks and concatenated, so memory stays bounded by the
@@ -347,36 +227,17 @@ def batch_output_lanes(
     if not patterns:
         raise ValueError("need at least one pattern")
     comp = compile_circuit(circuit)
-    flip_indices = _signal_indices(comp, flips)
-    if len(set(flip_indices)) != len(flip_indices):
-        raise ValueError("flip signals must be distinct")
-    n_faults = len(faults)
-    swept = flip_indices
-    if outputs is None:
-        cone = None
-        output_indices: Sequence[int] = comp.output_indices
-    else:
-        cone = _layout(comp).cone_mask(outputs)
-        output_indices = [comp.index[name] for name in outputs]
-        inside = cone[flip_indices]
-        swept = list(compress(flip_indices, inside.tolist()))
-    rows = n_faults + len(swept) + 1
-    per_lane = comp.n * rows * 8
+    rows = len(faults) + 1
+    per_lane = (comp.n + 1) * rows * 8
     block_lanes = max(1, _SWEEP_BUDGET // max(per_lane, 1))
     block = 64 * block_lanes  # lane-aligned: blocks pack without padding
     stacks = []
     for start in range(0, len(patterns), block):
         chunk = patterns[start : start + block]
         input_lanes, lanes = _pack_lanes(chunk, circuit.inputs)
-        buf = _sweep(comp, faults, input_lanes, lanes, cone, swept)
-        stacks.append(_output_stack(buf, output_indices))
+        buf = _sweep(comp, faults, input_lanes, lanes)
+        stacks.append(_output_stack(buf, comp.output_indices))
     stack = stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=2)
-    if len(swept) < len(flip_indices):
-        # A flip outside the cone reads the fault-free row (row -1).
-        take = np.full(rows + len(flip_indices) - len(swept), -1, np.intp)
-        take[:n_faults] = np.arange(n_faults)
-        take[n_faults:-1][inside] = np.arange(n_faults, rows - 1)
-        stack = stack[take]
     lanes = stack.shape[2]
     return stack[:-1], stack[-1], _lane_mask(len(patterns), lanes)
 

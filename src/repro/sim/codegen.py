@@ -375,9 +375,8 @@ def codegen_output_lanes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched sweep through the generated kernel.
 
-    Drop-in for :func:`repro.sim.batchfault.batch_output_lanes`
-    without ``outputs=`` (the kernel always evaluates the whole
-    circuit): same ``(fault_lanes, good_lanes, lane_mask)`` contract,
+    Drop-in for :func:`repro.sim.batchfault.batch_output_lanes`:
+    same ``(fault_lanes, good_lanes, lane_mask)`` contract,
     bit-identical values, same lane-aligned blocking of pattern sets
     that exceed the sweep-buffer budget (scaled to the slot pool, which
     is what actually gets allocated here).

@@ -15,13 +15,13 @@ where fixed-width vectorization wins.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..circuits.gates import GateType
 from ..circuits.netlist import Circuit
-from .compiled import compile_circuit
+from .compiled import AND, OR, UFUNCS, CompiledCircuit, compile_circuit
 
 __all__ = [
     "pack_patterns",
@@ -43,18 +43,14 @@ def pack_patterns(
     assigning a name *not* in ``inputs`` raises ``ValueError`` — a
     silently dropped assignment is almost always a typo'd input name.
     Each word is one row of :func:`_pack_lanes` (which also packs
-    :func:`pack_patterns_numpy`) folded into an int.
+    :func:`pack_patterns_numpy`) folded into an int
+    (:func:`_rows_to_words`).
 
     >>> pack_patterns([{"a": 1}, {"a": 0}, {"a": 1}], ["a"])
     {'a': 5}
     """
-    rows, lanes = _pack_lanes(patterns, inputs)
-    raw = rows.astype("<u8", copy=False).tobytes()
-    step = 8 * lanes
-    return {
-        name: int.from_bytes(raw[i * step : (i + 1) * step], "little")
-        for i, name in enumerate(inputs)
-    }
+    rows, _ = _pack_lanes(patterns, inputs)
+    return dict(zip(inputs, _rows_to_words(rows)))
 
 
 def pack_patterns_numpy(
@@ -81,17 +77,62 @@ def _pack_lanes(
     array, row ``i`` for ``inputs[i]``: every bit packed by one
     ``np.packbits`` call, with no per-input array."""
     lanes = max(1, -(-len(patterns) // 64))
-    known = frozenset(inputs)
     bits = np.zeros((len(inputs), 64 * lanes), dtype=np.uint8)
-    for j, pattern in enumerate(patterns):
-        if not known.issuperset(pattern):
-            unknown = next(name for name in pattern if name not in known)
-            raise ValueError(f"pattern {j} assigns unknown input {unknown!r}")
-        bits[:, j] = [pattern.get(name, 0) & 1 for name in inputs]
+    rows = _assignments(patterns, inputs)
+    if rows and inputs:
+        try:  # values in 0..255 (bits, bools): one bytes copy
+            values = np.frombuffer(b"".join(map(bytes, rows)), np.uint8)
+        except (TypeError, ValueError):  # other ints keep Python's & 1
+            values = np.array(rows)
+        bits[:, : len(rows)] = (values.reshape(len(rows), -1) & 1).T
     # Byte k of a row holds patterns 8k..8k+7, lowest bit first, so
     # eight consecutive bytes are one little-endian lane.
     packed = np.packbits(bits, axis=1, bitorder="little")
     return packed.view("<u8").astype(np.uint64, copy=False), lanes
+
+
+def _assignments(
+    patterns: Sequence[Mapping[str, int]], inputs: Sequence[str]
+) -> list[Sequence[int]]:
+    """Each pattern's values at ``inputs``, in order, missing ones 0.
+
+    A pattern that assigns exactly ``inputs`` is read by one
+    ``itemgetter`` call; only the others are checked for a name outside
+    ``inputs``, which raises ``ValueError``.
+    """
+    known = frozenset(inputs)
+    if len(inputs) > 1:
+        fetch = itemgetter(*inputs)
+    else:  # itemgetter of one name returns the value, not a tuple
+        def fetch(pattern):
+            return tuple(pattern[name] for name in inputs)
+    rows = []
+    for j, pattern in enumerate(patterns):
+        try:
+            row = fetch(pattern)
+        except KeyError:
+            row = None
+        if row is None or len(pattern) != len(known):
+            if not known.issuperset(pattern):
+                unknown = next(name for name in pattern if name not in known)
+                raise ValueError(
+                    f"pattern {j} assigns unknown input {unknown!r}"
+                )
+            row = fetch({**dict.fromkeys(inputs, 0), **pattern})
+        rows.append(row)
+    return rows
+
+
+def _rows_to_words(rows: np.ndarray, mask: int = -1) -> list[int]:
+    """Every row of a ``(n, lanes)`` uint64 array as one python int
+    (bit ``64*l + b`` is bit ``b`` of lane ``l``), ANDed with ``mask``
+    (``-1`` keeps every bit)."""
+    # One list of python ints per lane, folded from the top lane down.
+    lanes = rows.T.tolist()
+    words = lanes.pop()
+    while lanes:
+        words = [(w << 64) | low for w, low in zip(words, lanes.pop())]
+    return words if mask == -1 else [w & mask for w in words]
 
 
 def unpack_word(word: int, n_patterns: int) -> list[int]:
@@ -105,87 +146,89 @@ def simulate_words(
     n_patterns: int,
     forced_words: Mapping[str, int] | None = None,
     outputs: Sequence[str] | None = None,
+    xor_words: Mapping[str, int] | None = None,
 ) -> dict[str, int]:
     """Bit-parallel simulation with one integer word per signal.
 
     ``forced_words`` overrides whole signal words (all patterns at once),
-    mirroring the ``forced`` parameter of the scalar simulator.  DFFs are
+    mirroring the ``forced`` parameter of the scalar simulator.
+    ``xor_words`` XORs a word into a signal after it is evaluated and
+    forced, primary inputs included, before its fanout reads it: a word
+    that covers one block of patterns complements the signal in that
+    block only, so one pass carries one *flip row* per signal (the
+    diagnosis singleton sweep,
+    :func:`repro.diagnosis.validity.single_gate_rect_words`).  DFFs are
     treated as constant-0 present state; diagnosis always runs on the
     full-scan view where no DFFs remain.
 
     ``outputs`` restricts the pass to those signals' fan-in cones
-    (:meth:`~repro.circuits.netlist.Circuit.fanin_cone`): only the union
-    of the cones is evaluated, and only those signals' words are
+    (:meth:`~repro.sim.compiled.CompiledCircuit.cone_mask`): only the
+    union of the cones is evaluated, and only those signals' words are
     returned, in the order given.  Forcing a signal outside the union
     cannot change them, so every returned word equals the full pass's.
     An unknown name raises :class:`~repro.circuits.netlist.CircuitError`.
     """
     comp = compile_circuit(circuit)
     mask = (1 << n_patterns) - 1
-    forced_words = forced_words or {}
-    values: list[int] = [0] * comp.n
-    inputs = circuit.inputs
-    eval_order = comp.eval_order
-    if outputs is not None:
-        cone = frozenset().union(*map(circuit.fanin_cone, outputs))
-        names = comp.names
-        inputs = [name for name in inputs if name in cone]
-        eval_order = [idx for idx in eval_order if names[idx] in cone]
-    for name in inputs:
-        idx = comp.index[name]
-        if name in forced_words:
-            values[idx] = forced_words[name] & mask
-        else:
-            values[idx] = input_words.get(name, 0) & mask
-    forced_idx = {
-        comp.index[name]: val & mask
-        for name, val in forced_words.items()
-        if not circuit.node(name).is_input
-    }
+    forced = _by_index(comp, forced_words, mask)
+    flips = _by_index(comp, xor_words, mask)
+    touched = forced.keys() | flips.keys()
+    if outputs is None:
+        inputs, eval_order = comp.input_indices, comp.eval_order
+    else:
+        inputs, eval_order = comp.cone_order(comp.cone_mask(outputs))
+    values = [0] * (comp.n + 1)  # the last slot is the zero slot
+    names = comp.names
+    for idx in inputs:
+        v = input_words.get(names[idx], 0) & mask
+        if idx in touched:
+            v = forced.get(idx, v) ^ flips.get(idx, 0)
+        values[idx] = v
+    steps = comp.steps
     for idx in eval_order:
-        gtype = comp.gtypes[idx]
-        fin = comp.fanins[idx]
-        if gtype is GateType.DFF:
-            v = 0
-        elif gtype is GateType.CONST0:
-            v = 0
-        elif gtype is GateType.CONST1:
-            v = mask
-        elif gtype is GateType.AND:
-            v = mask
-            for f in fin:
-                v &= values[f]
-        elif gtype is GateType.NAND:
-            v = mask
-            for f in fin:
-                v &= values[f]
-            v = ~v & mask
-        elif gtype is GateType.OR:
-            v = 0
-            for f in fin:
-                v |= values[f]
-        elif gtype is GateType.NOR:
-            v = 0
-            for f in fin:
-                v |= values[f]
-            v = ~v & mask
-        elif gtype is GateType.XOR:
-            v = 0
-            for f in fin:
-                v ^= values[f]
-        elif gtype is GateType.XNOR:
-            v = 0
-            for f in fin:
-                v ^= values[f]
-            v = ~v & mask
-        elif gtype is GateType.NOT:
-            v = ~values[fin[0]] & mask
-        else:  # BUF
-            v = values[fin[0]]
-        values[idx] = forced_idx.get(idx, v)
+        op, invert, first, rest = steps[idx]
+        v = values[first]
+        if rest:
+            if op == AND:
+                for f in rest:
+                    v &= values[f]
+            elif op == OR:
+                for f in rest:
+                    v |= values[f]
+            else:
+                for f in rest:
+                    v ^= values[f]
+        if invert:
+            v ^= mask
+        if idx in touched:
+            v = forced.get(idx, v)
+            if idx in flips:
+                v ^= flips[idx]
+        values[idx] = v
     if outputs is not None:
-        return {name: values[comp.index[name]] for name in outputs}
-    return {name: values[comp.index[name]] for name in comp.names}
+        index = comp.index
+        return {name: values[index[name]] for name in outputs}
+    return dict(zip(names, values))
+
+
+def _by_index(
+    comp: CompiledCircuit, words: Mapping[str, int] | None, mask: int
+) -> dict[int, int]:
+    """``words`` keyed by signal index and masked; a name that is no
+    signal raises :class:`~repro.circuits.netlist.CircuitError`."""
+    if not words:
+        return {}
+    index = comp.index
+    try:
+        # A word already inside the mask is kept as it is: comparing
+        # costs less than masking a wide word.
+        return {
+            index[name]: word if 0 <= word <= mask else word & mask
+            for name, word in words.items()
+        }
+    except KeyError as exc:
+        comp.circuit.node(exc.args[0])  # raises, naming the signal
+        raise
 
 
 def simulate_patterns(
@@ -236,9 +279,8 @@ def simulate_words_numpy(
     if not input_words:
         raise ValueError("input_words must not be empty")
     assert lanes is not None
-    ones = np.full(lanes, np.uint64(0xFFFFFFFFFFFFFFFF))
     zeros = np.zeros(lanes, dtype=np.uint64)
-    values: list[np.ndarray] = [zeros] * comp.n
+    values: list[np.ndarray] = [zeros] * (comp.n + 1)  # last: zero slot
     for name in circuit.inputs:
         idx = comp.index[name]
         source = forced_words.get(name, input_words.get(name))
@@ -250,34 +292,16 @@ def simulate_words_numpy(
         for name, arr in forced_words.items()
         if not circuit.node(name).is_input
     }
+    steps = comp.steps
     for idx in comp.eval_order:
-        gtype = comp.gtypes[idx]
-        fin = comp.fanins[idx]
-        if gtype in (GateType.DFF, GateType.CONST0):
-            v = zeros
-        elif gtype is GateType.CONST1:
-            v = ones
-        elif gtype in (GateType.AND, GateType.NAND):
-            v = values[fin[0]].copy()
-            for f in fin[1:]:
-                v &= values[f]
-            if gtype is GateType.NAND:
-                v = ~v
-        elif gtype in (GateType.OR, GateType.NOR):
-            v = values[fin[0]].copy()
-            for f in fin[1:]:
-                v |= values[f]
-            if gtype is GateType.NOR:
-                v = ~v
-        elif gtype in (GateType.XOR, GateType.XNOR):
-            v = values[fin[0]].copy()
-            for f in fin[1:]:
-                v ^= values[f]
-            if gtype is GateType.XNOR:
-                v = ~v
-        elif gtype is GateType.NOT:
-            v = ~values[fin[0]]
-        else:  # BUF
-            v = values[fin[0]]
+        op, invert, first, rest = steps[idx]
+        v = values[first]
+        if rest:
+            ufunc = UFUNCS[op]
+            v = ufunc(v, values[rest[0]])
+            for f in rest[1:]:
+                ufunc(v, values[f], v)
+        if invert:
+            v = ~v
         values[idx] = forced_idx.get(idx, v)
     return {name: values[comp.index[name]] for name in comp.names}

@@ -29,9 +29,7 @@ from repro.diagnosis.validity import (
 from repro.experiments import make_workload
 from repro.faults.models import StuckAtFault
 from repro.sim import simulate
-from repro.sim import batchfault
 from repro.sim.batchfault import batch_output_lanes
-from repro.sim.compiled import compile_circuit
 from repro.testgen.testset import Test, TestSet
 
 from tests.diagnosis.test_packed_oracle import per_test_sim
@@ -74,7 +72,9 @@ def sweep_cases(draw):
 
     The circuit may gain a gate that drives no output (outside every
     cone, even with all outputs constrained) and an output driven
-    directly by a primary input.
+    directly by a primary input.  The test count covers row strides of
+    one to seventeen bytes and words of one to three uint64 lanes; the
+    pool may repeat a name and hold primary inputs.
     """
     seed = draw(st.integers(0, 10_000))
     circuit = random_circuit(
@@ -95,7 +95,7 @@ def sweep_cases(draw):
     observed = draw(
         st.lists(st.sampled_from(outputs), min_size=1, unique=True)
     )
-    m = draw(st.sampled_from([1, 5, 17, 64, 65, 90]))
+    m = draw(st.sampled_from([1, 7, 8, 9, 31, 33, 64, 65, 130]))
     tests = []
     for _ in range(m):
         vector = {pi: rng.getrandbits(1) for pi in pis}
@@ -106,9 +106,7 @@ def sweep_cases(draw):
         out = rng.choice(observed)
         tests.append(Test(vector, out, expected[out], expected))
     signals = list(circuit.nodes)
-    pool = draw(
-        st.lists(st.sampled_from(signals), min_size=1, unique=True)
-    )
+    pool = draw(st.lists(st.sampled_from(signals), min_size=1))
     return circuit, TestSet(tuple(tests)), pool
 
 
@@ -121,7 +119,7 @@ def sweep_cases(draw):
 def test_restricted_words_equal_full_sweep_and_oracle(case, constrain):
     circuit, tests, pool = case
     words = single_gate_rect_words(circuit, tests, pool, constrain)
-    assert list(words) == pool
+    assert list(words) == list(dict.fromkeys(pool))
     assert words == full_sweep_words(circuit, tests, pool, constrain)
     assert words == oracle_words(circuit, tests, pool, constrain)
 
@@ -153,6 +151,38 @@ def test_gate_outside_every_cone_gets_passing_word():
         passing = sum(1 << j for j in range(70) if j % 3)
         assert words["dangling"] == passing
         assert words == full_sweep_words(circuit, tests, pool, constrain)
+
+
+def test_chunked_sweep_matches_one_pass(monkeypatch):
+    """A test set wider than the pass budget is swept in byte-aligned
+    chunks of tests, one pass each; the words are the same."""
+    circuit = _dangling_circuit()
+    rng = random.Random(7)
+    tests = []
+    for j in range(130):
+        vector = {pi: rng.getrandbits(1) for pi in circuit.inputs}
+        response = simulate(circuit, vector)
+        out = circuit.outputs[j % len(circuit.outputs)]
+        expected = {o: v ^ (rng.random() < 0.25) for o, v in response.items()}
+        tests.append(Test(vector, out, expected[out], expected))
+    pool = ["pi0", *circuit.gate_names]
+    for constrain in (False, True):
+        whole = single_gate_rect_words(circuit, tests, pool, constrain)
+        assert whole == full_sweep_words(circuit, tests, pool, constrain)
+        calls = []
+        simulate_words = validity.simulate_words
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return simulate_words(*args, **kwargs)
+
+        monkeypatch.setattr(validity, "_SWEEP_BITS", 1)  # 8 tests a pass
+        monkeypatch.setattr(validity, "simulate_words", counting)
+        assert single_gate_rect_words(
+            circuit, tests, pool, constrain
+        ) == whole
+        monkeypatch.undo()
+        assert len(calls) == 17  # 16 passes of 8 tests, one of 2
 
 
 def test_output_driven_by_primary_input():
@@ -264,32 +294,39 @@ def test_greedy_answers_equal_per_test_oracle_answers(
 def test_sweep_builds_no_fault_objects_and_one_row_per_swept_gate(
     monkeypatch,
 ):
-    """The session sweep simulates one flip row per pool gate inside the
-    observed cones, and no other forced row, and constructs no
+    """The session sweep is one :func:`simulate_words` pass, through
+    ``validity``'s module global, of one byte-aligned row block per pool
+    gate inside the observed cones plus the fault-free row: its XOR
+    words name exactly those gates, and it constructs no
     StuckAtFault."""
     w = make_workload("sim1423", p=2, m_max=8, seed=3)
     session = DiagnosisSession(w.faulty, w.tests)
     pool = session.space().pool
     observed = {t.output for t in w.tests}
     cone = frozenset().union(*map(w.faulty.fanin_cone, observed))
-    index = compile_circuit(w.faulty).index
-    swept = [index[g] for g in pool if g in cone]
+    swept = [g for g in pool if g in cone]
     assert 0 < len(swept) < len(pool)
     calls = []
-    sweep = batchfault._sweep
+    simulate = validity.simulate_words
 
-    def recording(comp, faults, input_lanes, lanes, cone=None, flips=()):
-        buf = sweep(comp, faults, input_lanes, lanes, cone, flips)
-        calls.append((list(faults), list(flips), buf.shape[1]))
-        return buf
+    def recording(circuit, input_words, n_patterns, *args, **kwargs):
+        calls.append((n_patterns, dict(kwargs.get("xor_words") or {})))
+        return simulate(circuit, input_words, n_patterns, *args, **kwargs)
 
     def no_faults(self):
         raise AssertionError("the singleton sweep built a StuckAtFault")
 
-    monkeypatch.setattr(batchfault, "_sweep", recording)
+    monkeypatch.setattr(validity, "simulate_words", recording)
     monkeypatch.setattr(StuckAtFault, "__post_init__", no_faults)
     words = session.space().singleton_rect_words()
-    # One row per swept gate plus the fault-free row.
-    assert calls == [([], swept, len(swept) + 1)]
+    stride = 8  # m = 8 tests: one byte per row
+    assert len(calls) == 1
+    n_patterns, xor_words = calls[0]
+    assert n_patterns == (len(swept) + 1) * stride
+    assert list(xor_words) == swept
+    block = (1 << stride) - 1
+    assert all(
+        xor_words[g] == block << (r * stride) for r, g in enumerate(swept)
+    )
     monkeypatch.undo()
     assert words == full_sweep_words(w.faulty, w.tests, pool)

@@ -23,6 +23,7 @@ from repro.serve.service import GRACE_S, WATCHDOG_INTERVAL_S
 from repro.testgen import TestSet
 from repro.testgen.testset import Test
 
+from tests.diagnosis.test_singleton_sweep import full_sweep_words
 from tests.serve._devices import make_device, top_marked
 
 
@@ -319,6 +320,31 @@ def test_bsat_only_service_matches_sequential_baseline_bitwise():
         )
         baseline = diagnose(fresh, k=2, strategy="bsat-auto-k")
         assert result.solutions == tuple(baseline.solutions)
+
+
+def test_multi_lane_device_served_equals_direct_diagnose():
+    """A sim1423 device with 96 tests: its words span two uint64 lanes
+    and its sweep rows twelve bytes.  Served, it equals a direct
+    greedy ``diagnose`` on the same seed, and its singleton words equal
+    the whole-circuit stuck-at sweep's."""
+    device = make_device("ml", design="sim1423", seed=2, p=1, m_max=96)
+    assert 64 < len(device.tests) <= 128
+    service = DiagnosisService(n_shards=1, timeout=60.0)
+    [result] = service.run([device])
+    assert result.status == "ok"
+    assert result.winner == "greedy-stochastic"
+    circuit = library.get_circuit(device.design)
+    session = DiagnosisSession(
+        circuit, device.tests, seed=device.session_seed()
+    )
+    direct = diagnose(
+        session, k=None, strategy="greedy-stochastic", max_solutions=1
+    )
+    assert result.solutions == tuple(direct.solutions)
+    space = session.space()
+    assert space.singleton_rect_words() == full_sweep_words(
+        circuit, device.tests, space.pool
+    )
 
 
 def test_service_run_is_reusable():

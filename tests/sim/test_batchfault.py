@@ -22,6 +22,7 @@ from repro.sim import (
     exact_match_faults,
     fault_signatures_batch,
     pack_patterns,
+    simulate_words,
     stuck_at_response,
     unpack_word,
 )
@@ -236,33 +237,10 @@ def test_blocked_sweep_matches_single_sweep(monkeypatch):
     assert blocked == whole
 
 
-@given(circuit_faults_patterns(), st.data())
-@settings(max_examples=30, deadline=None)
-def test_output_restricted_sweep_matches_full_sweep(data, draw):
-    """``outputs=`` evaluates only those outputs' fan-in cones and returns
-    exactly the full sweep's rows for them, in the order given."""
-    from repro.sim.batchfault import batch_output_lanes
-
-    circuit, patterns = data
-    faults = full_fault_list(circuit)
-    outputs = draw.draw(
-        st.lists(st.sampled_from(circuit.outputs), unique=True)
-    )
-    full, good, mask = batch_output_lanes(circuit, faults, patterns)
-    cols = [circuit.outputs.index(o) for o in outputs]
-    part, part_good, part_mask = batch_output_lanes(
-        circuit, faults, patterns, outputs=outputs
-    )
-    assert part.shape == (len(faults), len(outputs), full.shape[2])
-    assert (part == full[:, cols]).all()
-    assert (part_good == good[cols]).all()
-    assert (part_mask == mask).all()
-
-
 @st.composite
 def flip_cases(draw):
-    """A random circuit, 1-90 patterns (multi-lane from 65) and an
-    optional subset of outputs to restrict the sweep to."""
+    """A random circuit, 1-90 patterns (row strides of 1-12 bytes) and
+    an optional subset of outputs to restrict the pass to."""
     seed = draw(st.integers(0, 10_000))
     n_outputs = draw(st.integers(1, 4))
     circuit = random_circuit(
@@ -272,7 +250,7 @@ def flip_cases(draw):
         seed=seed,
     )
     rng = random.Random(seed)
-    n_patterns = draw(st.sampled_from([1, 17, 64, 65, 90]))
+    n_patterns = draw(st.sampled_from([1, 8, 9, 17, 64, 65, 90]))
     patterns = [
         {pi: rng.getrandbits(1) for pi in circuit.inputs}
         for _ in range(n_patterns)
@@ -284,44 +262,79 @@ def flip_cases(draw):
     return circuit, patterns, outputs
 
 
+def flip_rows(circuit, patterns, signals, outputs=None):
+    """One row-packed :func:`simulate_words` pass: row ``r`` of every
+    word is a block of whole bytes with ``signals[r]`` complemented by
+    an XOR word, the last row is fault-free.  Returns each row's words
+    of ``outputs`` (default: every circuit output, from an unrestricted
+    pass), the fault-free row last."""
+    n = len(patterns)
+    stride = 8 * -(-n // 8)
+    rows = len(signals) + 1
+    ones = sum(1 << (r * stride) for r in range(rows))
+    block = (1 << stride) - 1
+    words = pack_patterns(patterns, circuit.inputs)
+    values = simulate_words(
+        circuit,
+        {pi: word * ones for pi, word in words.items()},
+        rows * stride,
+        outputs=outputs,
+        xor_words={s: block << (r * stride) for r, s in enumerate(signals)},
+    )
+    mask = (1 << n) - 1
+    observed = circuit.outputs if outputs is None else outputs
+    return [
+        {o: (values[o] >> (r * stride)) & mask for o in observed}
+        for r in range(rows)
+    ]
+
+
 @given(flip_cases())
 @settings(max_examples=40, deadline=None)
 def test_flip_row_equals_the_stuck_at_row_that_changes_something(case):
-    """Lane by lane, a signal's flip row equals whichever of its two
-    stuck-at rows differs from the fault-free row (where neither does,
-    both equal it).  Flip rows follow the stuck-at rows, and a sweep of
-    flips alone returns the same rows."""
-    import numpy as np
-
-    from repro.sim.batchfault import batch_output_lanes
-
+    """Row by row, a row-packed :func:`simulate_words` pass with one
+    XOR row per signal equals one forced pass per row (the signal forced
+    to the complement of its fault-free word), and pattern by pattern
+    the batch engine's stuck-at row that differs from the fault-free
+    row (where neither does, both equal it)."""
     circuit, patterns, outputs = case
+    n = len(patterns)
+    mask = (1 << n) - 1
+    observed = circuit.outputs if outputs is None else outputs
     signals = list(circuit.nodes)
+    packed = flip_rows(circuit, patterns, signals, outputs)
+    words = pack_patterns(patterns, circuit.inputs)
+    good = simulate_words(circuit, words, n)
+    assert packed[-1] == {o: good[o] for o in observed}
     faults = [StuckAtFault(s, v) for s in signals for v in (0, 1)]
-    lanes, good, mask = batch_output_lanes(
-        circuit, faults, patterns, outputs=outputs, flips=signals
-    )
-    n = len(signals)
-    assert lanes.shape[0] == 3 * n
-    sa0, sa1, flip = lanes[0 : 2 * n : 2], lanes[1 : 2 * n : 2], lanes[2 * n :]
-    # One word per (signal, lane): a set bit marks a pattern under which
-    # stuck-at-0 changes some output.
-    changed0 = np.bitwise_or.reduce(sa0 ^ good, axis=1)[:, None, :]
-    expected = (sa0 & changed0) | (sa1 & ~changed0)
-    assert ((flip ^ expected) & mask == 0).all()
-    alone, alone_good, _ = batch_output_lanes(
-        circuit, (), patterns, outputs=outputs, flips=signals
-    )
-    assert (alone == flip).all()
-    assert (alone_good == good).all()
+    sa = fault_signatures_batch(circuit, faults, patterns)
+    for r, signal in enumerate(signals):
+        forced = simulate_words(
+            circuit, words, n, forced_words={signal: ~good[signal] & mask}
+        )
+        assert packed[r] == {o: forced[o] for o in observed}, signal
+        sa0, sa1 = sa[2 * r], sa[2 * r + 1]
+        # A set bit marks a pattern under which stuck-at-0 changes some
+        # output.
+        changed0 = 0
+        for o in circuit.outputs:
+            changed0 |= sa0[o] ^ good[o]
+        for o in observed:
+            expected = (sa0[o] & changed0) | (sa1[o] & ~changed0 & mask)
+            assert packed[r][o] == expected, (signal, o)
 
 
 def test_flip_signals_must_be_distinct_signals():
-    from repro.sim.batchfault import batch_output_lanes
+    """An XOR word is keyed by signal, so each flip row is one distinct
+    signal; a name that is no signal is rejected."""
+    from repro.circuits.netlist import CircuitError
 
     maj3 = library.majority()
-    pattern = [{"a": 0, "b": 1, "c": 1}]
-    with pytest.raises(ValueError, match="distinct"):
-        batch_output_lanes(maj3, (), pattern, flips=["ab", "ab"])
-    with pytest.raises(ValueError, match="is not a signal of circuit"):
-        batch_output_lanes(maj3, (), pattern, flips=["no_such_signal"])
+    pattern = [{"a": 1, "b": 1, "c": 0}]
+    # ab is the only product term that holds: flipping it, or input a,
+    # drops the majority to 0.
+    assert flip_rows(maj3, pattern, ["ab", "a", "bc"]) == [
+        {"out": 0}, {"out": 0}, {"out": 1}, {"out": 1}
+    ]
+    with pytest.raises(CircuitError, match="no_such_signal"):
+        flip_rows(maj3, pattern, ["no_such_signal"])

@@ -68,3 +68,31 @@ def test_constant_gates_are_suspects():
     dut = apply_error(maj, StuckAtFault("ab", 1))
     assert "ab" in dut.gate_names
     assert dut.node("ab").is_functional
+
+
+def test_cone_mask_equals_fanin_cone():
+    """The index cones are the name cones, DFFs crossed, for every
+    signal; a union is the union of the masks; a non-signal raises."""
+    import numpy as np
+    import pytest
+
+    from repro.circuits.netlist import CircuitError
+
+    from repro.circuits.generator import random_sequential_circuit
+
+    circuit = random_sequential_circuit(
+        n_inputs=4, n_outputs=2, n_gates=25, n_dffs=3, seed=4
+    )
+    assert circuit.dffs
+    comp = compile_circuit(circuit)
+    for name in comp.names:
+        mask = comp.cone_mask([name])
+        assert {comp.names[i] for i in np.flatnonzero(mask)} == set(
+            circuit.fanin_cone(name)
+        )
+    outputs = circuit.outputs
+    union = frozenset().union(*map(circuit.fanin_cone, outputs))
+    mask = comp.cone_mask(outputs)
+    assert {comp.names[i] for i in np.flatnonzero(mask)} == union
+    with pytest.raises(CircuitError, match="no_such_signal"):
+        comp.cone_mask(["no_such_signal"])

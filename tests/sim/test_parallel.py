@@ -157,6 +157,22 @@ def test_pack_patterns_rejects_unknown_input_names():
         pack_patterns_numpy([{"a": 1}, {"a": 0, "typo": 1}], ["a"])
 
 
+def test_pack_patterns_keeps_the_low_bit_of_any_int():
+    """Every value packs as ``value & 1``: bools, small ints, and ints
+    outside a byte (negative or wider than 64 bits) alike; one input
+    and no input pack too."""
+    values = [True, False, 0, 1, 2, 3, 255, 256, -1, -2, 2**70 + 1]
+    patterns = [{"a": v, "b": 1} for v in values]
+    words = pack_patterns(patterns, ["a", "b"])
+    assert words["a"] == sum((v & 1) << j for j, v in enumerate(values))
+    assert words["b"] == (1 << len(values)) - 1
+    assert pack_patterns(patterns[:4], ["a", "b"])["a"] == 0b1001
+    assert pack_patterns([{"a": 1}, {}, {"a": 1}], ["a"]) == {"a": 0b101}
+    assert pack_patterns([{}, {}], []) == {}
+    with pytest.raises(ValueError, match="unknown input"):
+        pack_patterns([{}, {"a": 1}], [])
+
+
 def test_pack_patterns_unknown_name_error_names_the_pattern():
     with pytest.raises(ValueError, match=r"pattern 2 .*'b'"):
         pack_patterns([{"a": 1}, {"a": 0}, {"b": 1}], ["a"])
