@@ -166,7 +166,7 @@ class DiagnosisSession:
         tests: TestSet | Iterable[Test] | None = None,
         constrain_all_outputs: bool = False,
         solver_backend: str | None = None,
-        seed: int = 0,
+        seed: int | Callable[[], int] = 0,
     ) -> None:
         if isinstance(circuit, SystemDescription):
             if tests is not None:
@@ -222,10 +222,7 @@ class DiagnosisSession:
         #: (:mod:`repro.sat.backends`; None = the registry default).
         #: Strategies may override per call via ``solver_backend=``.
         self.solver_backend = solver_backend
-        #: Base seed for the stochastic strategies: threaded into the
-        #: greedy climbs (decorrelated per system kind) so results are
-        #: reproducible per session.
-        self.seed = seed
+        self._seed = seed
         #: Word with one bit per observation; a candidate is consistent
         #: when its rectification word equals this mask.
         self.all_mask = (1 << self.m) - 1
@@ -249,6 +246,22 @@ class DiagnosisSession:
         #: encoding is stamped from the shared skeleton instead of
         #: re-walking the circuit.
         self.master_skeleton = None
+
+    @property
+    def seed(self) -> int:
+        """Base seed for the stochastic strategies: threaded into the
+        greedy climbs (decorrelated per system kind) so results are
+        reproducible per session.
+
+        ``seed=`` may be a zero-argument callable; it is called once, on
+        the first read.  The serving path passes the device's
+        :meth:`~repro.serve.intake.DeviceReport.session_seed` this way,
+        so a device no climb draws for never encodes its signature.
+        """
+        seed = self._seed
+        if callable(seed):
+            seed = self._seed = seed()
+        return seed
 
     @property
     def kind(self) -> str:

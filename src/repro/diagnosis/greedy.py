@@ -17,7 +17,13 @@ value at the gate fixes) comes from a single fault-parallel sweep.  A
 retraction is then a word-algebra question — does the remaining pool
 still cover every observation? — tracked incrementally with per-
 observation cover counts, exactly the "cheap candidate application per
-test-lane" the vectorized substrate was built for.  Candidates whose
+test-lane" the vectorized substrate was built for.  Two bit masks over
+the observations (covered at most once, covered by none) make the
+check one AND of the gate's word, and a retraction costs O(popcount)
+of that word: it walks only the word's set bits and drops the gate by
+its drawn index, so a climb is no longer quadratic in the pool.  The
+climb reads the session's seed only when it builds its first RNG.
+Candidates whose
 cover check fails may still be consistent through multi-gate effects;
 ``deep_check`` escalates those to the session's exact oracle
 (:func:`~repro.diagnosis.validity.rect_word_by_forcing`): the
@@ -71,30 +77,38 @@ def _minimize(
     """One SAFARI climb: stochastic retraction, then deterministic trim.
 
     ``candidate`` must be consistent on entry (its cover words span all
-    observations, or it was deep-checked).  Retractions keep the cover
-    invariant: gate ``g`` may leave while every observation it covers is
-    covered by another remaining gate; when the cover check blocks a
-    retraction and the candidate is small, the exact oracle gets the
-    final say.
+    observations, or it was deep-checked) and hold no gate twice.
+    Retractions keep the cover invariant: gate ``g`` may leave while
+    every observation it covers is covered by another remaining gate;
+    when the cover check blocks a retraction and the candidate is
+    small, the exact oracle gets the final say.
+
+    The cover check reads two bit masks over the observations (see
+    :class:`_Cover`), so it is one AND of ``g``'s word; a retraction
+    walks only the set bits of that word and removes ``g`` by its drawn
+    index.  A retraction costs O(popcount of the word), not O(m) plus a
+    search of the candidate list; the exact oracle, when consulted, is
+    the one cost that grows with the candidate.
 
     ``budget`` is polled once per retraction attempt; a cancelled
     climb returns None (its partial candidate is consistent but not yet
     minimal, so it is discarded rather than reported).
     """
-    counts = [0] * session.m
-    for g in candidate:
-        w = words[g]
-        for j in range(session.m):
-            if (w >> j) & 1:
-                counts[j] += 1
+    cover = _Cover(words, candidate, session.m)
     current = list(candidate)
     misses = 0
     while misses < patience and len(current) > 1:
         if budget is not None and budget.poll():
             return None
-        g = current[rng.randrange(len(current))]
-        if _can_retract(session, words, counts, current, g, deep_check):
-            _retract(words, counts, current, g)
+        i = rng.randrange(len(current))
+        word = words[current[i]]
+        if cover.spares(word) or (
+            deep_check
+            and len(current) - 1 <= _DEEP_CHECK_LIMIT
+            and session.consistent(current[:i] + current[i + 1 :])
+        ):
+            del current[i]
+            cover.remove(word)
             misses = 0
         else:
             misses += 1
@@ -102,53 +116,76 @@ def _minimize(
     # random order; a second pass is never needed because retraction
     # opportunities only shrink as gates leave... except through exact
     # multi-gate effects, so loop until a full pass retracts nothing.
+    # ``alive`` keeps the candidate's order with O(1) removal.
+    alive = dict.fromkeys(current)
     changed = True
-    while changed and len(current) > 1:
+    while changed and len(alive) > 1:
         changed = False
-        order = list(current)
+        order = list(alive)
         rng.shuffle(order)
         for g in order:
-            if len(current) == 1:
+            if len(alive) == 1:
                 break
             if budget is not None and budget.poll():
                 return None
-            if g in current and _can_retract(
-                session, words, counts, current, g, deep_check
+            word = words[g]
+            if cover.spares(word) or (
+                deep_check
+                and len(alive) - 1 <= _DEEP_CHECK_LIMIT
+                and session.consistent([h for h in alive if h != g])
             ):
-                _retract(words, counts, current, g)
+                del alive[g]
+                cover.remove(word)
                 changed = True
-    return frozenset(current)
+    return frozenset(alive)
 
 
-def _can_retract(
-    session: DiagnosisSession,
-    words: dict[str, int],
-    counts: list[int],
-    current: list[str],
-    gate: str,
-    deep_check: bool,
-) -> bool:
-    # The cover argument is only sound while the *whole* candidate is
-    # cover-consistent (every observation covered by some member's own
-    # rectification word).  Once consistency rests on a multi-gate
-    # effect (some count is 0), every retraction needs the exact oracle.
-    if all(counts):
-        w = words[gate]
-        if all(counts[j] > 1 for j in range(session.m) if (w >> j) & 1):
-            return True
-    if deep_check and len(current) - 1 <= _DEEP_CHECK_LIMIT:
-        return session.consistent([g for g in current if g != gate])
-    return False
+class _Cover:
+    """Per-observation cover counts of a candidate's words.
 
+    ``low`` and ``zero`` are bit masks over the observations: bit ``j``
+    is set iff observation ``j`` is covered by at most one member
+    (``low``) or by none (``zero``).  Counts only fall, so the masks
+    only gain bits.
+    """
 
-def _retract(
-    words: dict[str, int], counts: list[int], current: list[str], gate: str
-) -> None:
-    current.remove(gate)
-    w = words[gate]
-    for j in range(len(counts)):
-        if (w >> j) & 1:
-            counts[j] -= 1
+    __slots__ = ("counts", "low", "zero")
+
+    def __init__(
+        self, words: dict[str, int], candidate: list[str], m: int
+    ) -> None:
+        counts = [0] * m
+        for g in candidate:
+            w = words[g]
+            while w:
+                bit = w & -w
+                counts[bit.bit_length() - 1] += 1
+                w ^= bit
+        self.counts = counts
+        self.low = sum(1 << j for j, c in enumerate(counts) if c <= 1)
+        self.zero = sum(1 << j for j, c in enumerate(counts) if not c)
+
+    def spares(self, word: int) -> bool:
+        """True iff a member with ``word`` can leave on the cover
+        argument alone.  That argument is only sound while the *whole*
+        candidate is cover-consistent (every observation covered by
+        some member's own word); once consistency rests on a multi-gate
+        effect (some count is 0), every retraction needs the exact
+        oracle."""
+        return not self.zero and not word & self.low
+
+    def remove(self, word: int) -> None:
+        """Take one member with ``word`` out of the counts."""
+        counts = self.counts
+        while word:
+            bit = word & -word
+            j = bit.bit_length() - 1
+            count = counts[j] = counts[j] - 1
+            if count <= 1:
+                self.low |= bit
+                if not count:
+                    self.zero |= bit
+            word ^= bit
 
 
 def greedy_stochastic_diagnose(
@@ -224,8 +261,6 @@ def greedy_stochastic_diagnose(
             approach="SAFARI", k=k or 0, solutions=(), complete=False,
             extras={"cancelled": True},
         )
-    if seed is None:
-        seed = session.seed
     # Per-kind stream offset: 0 for circuits (preserving the historical
     # seed -> climb mapping), a kind-hash otherwise, so gcnf/spectrum
     # sessions with the same numeric seed do not replay the circuit
@@ -268,6 +303,10 @@ def greedy_stochastic_diagnose(
             if budget is not None and budget.poll():
                 cancelled = True
                 break
+            if seed is None:
+                # Read only when a climb draws: the session may resolve
+                # its seed on this first read (see DiagnosisSession.seed).
+                seed = session.seed
             rng = random.Random(seed * 1_000_003 + kind_offset + r)
             minimal = _minimize(
                 session, words, list(full), rng, patience, deep_check,

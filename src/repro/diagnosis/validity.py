@@ -355,17 +355,19 @@ def single_gate_rect_words(
     gets no row and its word is the passing word.  Every word is
     bit-identical to a sweep of the whole circuit with both stuck-at
     rows of every pool gate.  A pool name that is no signal of the
-    circuit raises ``ValueError``.
+    circuit raises ``ValueError``.  The de-duplicated pool and its
+    compiled-index array are cached per compiled design, keyed on the
+    identity of the pool tuple
+    (:meth:`~repro.sim.compiled.CompiledCircuit.pool_index`): every
+    device of a design sweeps the same ``gate_names`` tuple, so only
+    the cone filter and the result dict scale with the pool per device.
     """
     tests = tests if isinstance(tests, TestSet) else TestSet(tuple(tests))
-    pool = list(dict.fromkeys(pool))  # one flip row per gate
     if not len(tests) or not pool:
-        return {g: 0 for g in pool}
+        return dict.fromkeys(pool, 0)
     comp = compile_circuit(circuit)
     try:
-        indices = np.fromiter(
-            map(comp.index.__getitem__, pool), dtype=np.intp, count=len(pool)
-        )
+        pool, indices = comp.pool_index(pool)  # one flip row per gate
     except KeyError as exc:
         raise ValueError(
             f"pool gate {exc.args[0]!r} is not a signal of circuit "

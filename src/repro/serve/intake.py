@@ -55,7 +55,11 @@ class DeviceReport:
     (:func:`signature_seed`) — are computed on first use and cached on
     the report, the key and the seed from one canonical encode of the
     signature, so the serving layers that ask for them again (admission,
-    resolution, resume, the attempt's session) pay nothing more.
+    resolution, resume, the attempt's session) pay nothing more.  An
+    attempt hands :meth:`session_seed` to its session uncalled, so the
+    seed is computed only when a greedy climb draws.  Without a
+    journal (which keys every admitted device), a device that no climb
+    draws for never encodes its signature.
     """
 
     device_id: str
@@ -97,7 +101,9 @@ class DeviceReport:
         return self._derived()[0]
 
     def session_seed(self) -> int:
-        """``signature_seed(self.signature())``, computed once."""
+        """``signature_seed(self.signature())``, computed once.  The
+        serving path passes this method itself as the session's
+        ``seed=``, which calls it on the first climb's draw."""
         return self._derived()[1]
 
     def _derived(self) -> tuple[str, int]:

@@ -121,7 +121,7 @@ def run_attempt(
         artifacts.circuit,
         device.tests,
         solver_backend=ladder.solver_backend,
-        seed=device.session_seed(),
+        seed=device.session_seed,
     )
     session.master_skeleton = artifacts.skeleton
     counters["races"] += 1

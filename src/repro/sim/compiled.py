@@ -71,6 +71,7 @@ class CompiledCircuit:
     _cones: list[tuple[int, ...]] = field(
         default_factory=list, repr=False, compare=False
     )
+    _pool: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -94,6 +95,30 @@ class CompiledCircuit:
             np.frombuffer(raw, np.uint8), count=self.n, bitorder="little"
         )
         return bits.view(bool)
+
+    def pool_index(
+        self, pool: Sequence[str]
+    ) -> tuple[tuple[str, ...], np.ndarray]:
+        """``(names, indices)``: ``pool`` without repeats, in order, and
+        the read-only index array of those signals.  A name that is no
+        signal raises ``KeyError``.  The answer for the last *tuple*
+        pool is kept, keyed on its identity: a diagnosis pool is the
+        circuit's ``gate_names`` tuple, the same object on every device
+        of a design, so each design pays for its pool index once."""
+        cached = self._pool
+        if cached is not None and cached[0] is pool:
+            return cached[1], cached[2]
+        names = tuple(dict.fromkeys(pool))
+        indices = np.fromiter(
+            map(self.index.__getitem__, names), dtype=np.intp,
+            count=len(names),
+        )
+        indices.flags.writeable = False
+        if isinstance(pool, tuple):
+            # Published whole: a thread that races this build reads
+            # either the old entry or all of this one.
+            object.__setattr__(self, "_pool", (pool, names, indices))
+        return names, indices
 
     def _cone_words(self) -> tuple[int, ...]:
         """Bit ``i`` of word ``idx`` is set iff signal ``i`` is in the

@@ -30,6 +30,7 @@ from repro.experiments import make_workload
 from repro.faults.models import StuckAtFault
 from repro.sim import simulate
 from repro.sim.batchfault import batch_output_lanes
+from repro.sim.compiled import compile_circuit
 from repro.testgen.testset import Test, TestSet
 
 from tests.diagnosis.test_packed_oracle import per_test_sim
@@ -212,6 +213,36 @@ def test_non_signal_rejected_before_cone_filtering():
         single_gate_rect_words(
             circuit, tests, [*circuit.gate_names, "no_such_gate"]
         )
+
+
+def test_pool_index_is_cached_per_pool_tuple():
+    """The sweep's de-duplicated pool and index array are built once per
+    pool tuple and design; another pool, equal or not, gets its own."""
+    circuit = random_circuit(n_inputs=5, n_outputs=3, n_gates=30, seed=4)
+    comp = compile_circuit(circuit)
+    pool = circuit.gate_names
+    names, indices = comp.pool_index(pool)
+    assert names == pool
+    assert indices.tolist() == [comp.index[g] for g in pool]
+    assert not indices.flags.writeable
+    assert comp.pool_index(pool)[1] is indices
+    # Equal but not the same tuple: rebuilt, with repeats dropped.
+    repeated = (*pool, pool[0])
+    names, kept = comp.pool_index(repeated)
+    assert names == pool and kept is not indices
+    # A list is never cached, and a bad name raises and caches nothing.
+    assert comp.pool_index(list(pool))[0] == pool
+    with pytest.raises(KeyError):
+        comp.pool_index((*pool, "no_such_gate"))
+    assert comp.pool_index(repeated)[1] is kept
+    tests = [
+        Test({pi: (i >> j) & 1 for j, pi in enumerate(circuit.inputs)},
+             circuit.outputs[i % 3], i & 1)
+        for i in range(12)
+    ]
+    words = single_gate_rect_words(circuit, tests, pool)
+    assert single_gate_rect_words(circuit, tests, pool) == words
+    assert words == full_sweep_words(circuit, tests, list(pool))
 
 
 @pytest.mark.slow

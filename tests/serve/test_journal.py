@@ -282,16 +282,22 @@ def test_journaled_run_and_resume_encode_each_signature_once(
 
 
 def test_unjournaled_run_encodes_only_for_diagnosed_devices(monkeypatch):
-    devices = _duplicated_stream()
+    # The c17 signatures are answered by greedy's singleton layer; the
+    # sim1423 device has no single-gate correction, so its ladder climbs.
+    climber = make_device("climb", design="sim1423", seed=1, p=2, m_max=8,
+                          k=2)
+    devices = _duplicated_stream() + [climber]
     calls = _count_encodes(monkeypatch)
     service = DiagnosisService(n_shards=1, timeout=30.0)
-    service.run(devices)
+    results = service.run(devices)
     stats = service.stats()
+    assert all(r.status == "ok" for r in results)
     # No journal, no resume: no key at admission, one seed per ladder
-    # run, and memo hits encode nothing.
-    assert stats["shards"]["shard0"]["races"] == 3
-    assert stats["signature_hits"] == len(devices) - 3
-    assert len(calls) == 3
+    # run that climbs (the first climb reads it), none for a run the
+    # singleton layer answers, and memo hits encode nothing.
+    assert stats["shards"]["shard0"]["races"] == 4
+    assert stats["signature_hits"] == len(devices) - 4
+    assert calls == [climber.signature()]
     assert service._run_keys == {}
 
 

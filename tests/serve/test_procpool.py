@@ -211,16 +211,32 @@ def test_cancel_device_mid_solve_abandons_without_killing_worker():
 def test_deadline_exhaustion_degrades_from_the_workers_partial():
     # A device with no single-gate correction on a worker whose design
     # is warm, under the complete policy: the sweep and the first greedy
-    # climbs fit inside the deadline, all sixteen climbs do not (~0.6 s
-    # on a 2-vCPU host).  The worker's outcome carries the corrections
-    # found so far and the parent resolves the device with them.
+    # climbs fit inside the deadline, all sixteen climbs do not.  Each
+    # of the sixteen finds a new minimum, and the deadline is half the
+    # same full greedy run timed here, so the cut falls among the
+    # climbs however fast the host.  The worker's outcome carries the
+    # corrections found so far and the parent resolves the device with
+    # them.
     device = make_device("d0", design="sim6669", seed=4, p=2, m_max=8, k=2)
+    circuit = library.get_circuit("sim6669")
+    full_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        full = diagnose(
+            DiagnosisSession(
+                circuit, device.tests,
+                seed=signature_seed(device.signature()),
+            ),
+            strategy="greedy-stochastic",
+        )
+        full_s = min(full_s, time.perf_counter() - t0)
+    assert full.extras["climbs"] == full.extras["distinct_minima"] == 16
     with ProcessDiagnosisService(
         n_workers=1, policy="complete", timeout=60.0, max_attempts=1,
     ) as pool:
         warm = make_device("warm", design="sim6669", seed=3, p=2, m_max=8)
         assert pool.run([warm])[0].status == "ok"
-        pool.timeout = 0.25  # read per dispatch
+        pool.timeout = full_s / 2  # read per dispatch
         (result,) = pool.run([device])
         stats = pool.stats()
     assert result.status == "degraded", result.error
@@ -228,13 +244,6 @@ def test_deadline_exhaustion_degrades_from_the_workers_partial():
         "approximate", "valid-sampled"
     )
     # The partial is a prefix of the same seeded greedy run, cut short.
-    full = diagnose(
-        DiagnosisSession(
-            library.get_circuit("sim6669"), device.tests,
-            seed=signature_seed(device.signature()),
-        ),
-        strategy="greedy-stochastic",
-    )
     assert result.solutions
     assert set(result.solutions) < set(full.solutions)
     assert result.answer == tuple(

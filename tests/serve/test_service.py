@@ -178,10 +178,9 @@ def _warm_cache(*designs: str) -> DesignCache:
     return cache
 
 
-def _serve_climbs_into_the_deadline(monkeypatch, **options):
-    # A device with no single-gate correction: each attempt's sweep
-    # finishes, then its first greedy climb runs into the attempt's
-    # deadline.
+def _climbs_wait_for_stop(monkeypatch) -> None:
+    """Make every greedy climb wait for its budget to stop first, so a
+    ladder that climbs outlasts any deadline, however fast the host."""
     import repro.diagnosis.greedy as greedy_mod
 
     minimize = greedy_mod._minimize
@@ -191,6 +190,13 @@ def _serve_climbs_into_the_deadline(monkeypatch, **options):
         return minimize(*args, budget=budget, **kwargs)
 
     monkeypatch.setattr(greedy_mod, "_minimize", wait_then_climb)
+
+
+def _serve_climbs_into_the_deadline(monkeypatch, **options):
+    # A device with no single-gate correction: each attempt's sweep
+    # finishes, then its first greedy climb runs into the attempt's
+    # deadline.
+    _climbs_wait_for_stop(monkeypatch)
     device = make_device("d0", design="sim1423", seed=1, p=2, m_max=8, k=2)
     service = DiagnosisService(
         n_shards=2,
@@ -268,13 +274,15 @@ def test_interrupted_complete_rung_resolves_valid_sampled(monkeypatch):
     assert check_invariants([device], [d0], service=service) == []
 
 
-def test_timeouts_in_one_run_resolve_within_the_deadline_bound():
-    # Eight devices with no single-gate correction, a deadline shorter
-    # than their ladders: they time out together.  No dispatcher thread
+def test_timeouts_in_one_run_resolve_within_the_deadline_bound(monkeypatch):
+    # Eight devices with no single-gate correction, whose first greedy
+    # climb waits for the stop: every ladder outlasts the deadline, on
+    # any host, and they time out together.  No dispatcher thread
     # diagnoses, so every device resolves within its attempts'
     # deadlines plus grace, whatever the others do.  One attempt keeps
     # the bound tight enough that resolving the failures one after
     # another on one thread would overrun it.
+    _climbs_wait_for_stop(monkeypatch)
     timeout, attempts = 0.03, 1
     devices = [
         make_device(f"{design}-{seed}", design=design, seed=seed, p=2,
